@@ -3,8 +3,8 @@
 The PR-3/PR-5 bench shape — all 32 (tree, inner-block, policy) candidates
 of one GE2BND problem — timed four ways, written to ``BENCH_batch.json``:
 
-1. ``sequential-cold``  — the BENCH_scale ``soa-fast-path`` row replica:
-   every candidate compiles its DAG fresh and runs the engine alone;
+1. ``sequential-cold``  — every candidate compiles its DAG fresh and runs
+   the engine alone;
 2. ``sequential-warm``  — per-candidate engine runs through the shared
    program cache (what PR 5 already gives a sweep that reuses programs);
 3. ``batch-full``       — :class:`repro.runtime.batch.BatchEngine` over
@@ -61,7 +61,7 @@ from repro.trees import make_tree  # noqa: E402
 
 ARTIFACT = os.path.join(_ROOT, "BENCH_batch.json")
 
-#: One miriel node; the candidate axes of the BENCH_scale 32-candidate row.
+#: One miriel node; the 32-candidate (tree, inner-block, policy) axes.
 M = N = 20000 if full_scale() else 1600
 NB = 160 if full_scale() else 100
 N_CORES = 24
@@ -257,7 +257,7 @@ def main() -> int:
           f"{speedup_full:.2f}x")
     print(f"batch-pruned-cold vs sequential-cold (first-ever sweep, "
           f"compiles included): {speedup_cold:.2f}x")
-    print(f"batch-pruned vs sequential-cold (the BENCH_scale sweep row, "
+    print(f"batch-pruned vs sequential-cold (the 32-candidate sweep, "
           f"batched): {speedup:.2f}x")
 
     stats = engine_memo_stats()

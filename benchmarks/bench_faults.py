@@ -14,8 +14,8 @@ The PR-9 bench shape — one GE2BND problem under the ``hostile`` scenario
 2. ``hoistless``       — the same process, no shell loop, but no
    hoisting either: every draw builds a fresh engine and
    :class:`ScenarioReplayer` with the engine memo tables cleared first,
-   so rank keys, duration/owner vectors and CSR successor lists are
-   re-derived each draw.  Replays the exact factor rows the vectorized
+   so rank orders and duration/owner vectors are re-derived each
+   draw.  Replays the exact factor rows the vectorized
    path samples, and its per-draw makespans are audited bitwise against
    the vectorized ``MakespanDistribution``;
 3. ``vectorized-cold`` — :func:`repro.runtime.scenario.run_scenario` on
@@ -105,7 +105,7 @@ def _clear_engine_memos() -> None:
     """Drop the module-level per-program memo tables (a fresh engine)."""
     engine_mod._DURATION_VECTORS.clear()
     engine_mod._OWNER_VECTORS.clear()
-    engine_mod._RANK_KEYS.clear()
+    engine_mod._RANK_ORDERS.clear()
 
 
 def _min_of(repeats, run):
@@ -160,7 +160,7 @@ def naive_per_draw():
 
 def hoistless(program, machine, scenario, fault_factors, noise_factors):
     """One fresh engine + replayer per draw, memo tables cleared each time:
-    every draw pays the prep (rank keys, vectors, CSR) the vectorized
+    every draw pays the prep (rank orders, vectors) the vectorized
     path hoists out of the loop — but not the process launch."""
     eff_machine = scenario.apply_to_machine(machine)
 

@@ -529,17 +529,25 @@ class Program:
     def succ_ids_np(self) -> np.ndarray:
         return self._cached("succ_ids", lambda: _np_view(self._succ_ids))
 
-    def succ_csr_lists(self) -> Tuple[List[int], List[int]]:
-        """The successor CSR as plain Python int lists (cached).
+    def dispatch_lists(self) -> Tuple[List[List[int]], List[int], List[int]]:
+        """Per-op successor lists, in-degrees and sources (cached, read-only).
 
-        The engine's event loop indexes these millions of times; list
-        element access hands back interned int objects instead of
-        materializing a fresh ``int`` per ``array('q')`` access.
+        The inputs of the runtime's event-loop kernel
+        (:func:`repro.runtime.kernel.replay`) as plain Python lists: the
+        loop walks each op's successors once per replay, and a pre-sliced
+        list is one direct iteration instead of two CSR index lookups per
+        edge.  Callers must not mutate them; the kernel copies the
+        in-degrees it decrements.
         """
-        def build() -> Tuple[List[int], List[int]]:
-            return self._succ_indptr.tolist(), self._succ_ids.tolist()
+        def build() -> Tuple[List[List[int]], List[int], List[int]]:
+            indptr = self._succ_indptr.tolist()
+            ids = self._succ_ids.tolist()
+            succ_lists = [ids[a:b] for a, b in zip(indptr, indptr[1:])]
+            indegree = np.diff(self.pred_indptr_np).tolist()
+            sources = [i for i, deg in enumerate(indegree) if deg == 0]
+            return succ_lists, indegree, sources
 
-        return self._cached("succ_csr_lists", build)
+        return self._cached("dispatch_lists", build)
 
     def _int_column(
         self,

@@ -46,11 +46,11 @@ class SchedulingPolicy:
     comparable with every other's.
 
     Policies may additionally implement :meth:`rank_array`, the vectorized
-    hook the engine's structure-of-arrays fast path calls with numpy
-    inputs; the built-in policies rank through the program's topological
-    level sweeps there, producing bit-identical keys to :meth:`rank`.  A
-    non-``None`` :attr:`cache_token` lets the engine memoize the computed
-    keys per (program, machine, grid) — static rankings only.
+    hook the engine's preparer calls with numpy inputs; the built-in
+    policies rank through the program's topological level sweeps there,
+    producing bit-identical keys to :meth:`rank`.  A non-``None``
+    :attr:`cache_token` lets the engine memoize the resulting rank order
+    per (program, machine, grid) — static rankings only.
     """
 
     #: Registry name (e.g. ``"list"``); also used by the CLI.
@@ -74,9 +74,9 @@ class SchedulingPolicy:
         """Whether the ranking ignores the machine's duration model.
 
         ``True`` means the keys depend only on the program (and, for
-        node-aware policies, the grid): the batch engine may then share
-        one computed ranking across candidates that differ only in their
-        machine.  The conservative default is ``False``.
+        node-aware policies, the grid): the engine may then share one
+        computed ranking across runs that differ only in their machine.
+        The conservative default is ``False``.
         """
         return False
 
@@ -97,7 +97,7 @@ class SchedulingPolicy:
         node_of_op: Optional[np.ndarray],
         machine: Machine,
     ) -> Optional[List[object]]:
-        """Vectorized ranking for the engine fast path.
+        """Vectorized ranking for the engine's preparer.
 
         ``durations`` is the per-op duration vector and ``node_of_op`` the
         owner-node vector (``None`` on a single node).  Return the key list
@@ -268,7 +268,7 @@ class RandomPolicy(SchedulingPolicy):
 
     def rank_array(self, program, durations, node_of_op, machine):
         # The seeded stream is already O(n) and hash-seed independent; the
-        # fast path just reuses it (and memoizes per seed via cache_token).
+        # engine just reuses it (and memoizes per seed via cache_token).
         return self.rank(program, durations, node_of_op, machine)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -16,15 +16,15 @@ a noisy network?*  It bundles
 
 Stochastic scenarios run in **Monte-Carlo mode**: all perturbation
 factors are sampled vectorized up front — one ``(n_draws, n_ops)`` matrix
-per model from a single seeded generator — and the engine's event loop is
-replayed once per draw over the perturbed structure-of-arrays duration
-vectors, producing a :class:`MakespanDistribution` (mean / p50 / p95 /
-CI) next to the nominal schedule.  The replay loops below replicate the
-engine's greedy disciplines *exactly* (stable ``(policy key, op id)``
-pops, greedy node round-robin, dispatch-order NIC serialization,
-pop-order ``busy`` accumulation), so a scenario whose every factor is
-``1.0`` reproduces :meth:`~repro.runtime.engine.SimulationEngine.run`
-bit for bit — the property the zero-perturbation tests pin.
+per model from a single seeded generator — and the event-loop kernel
+(:mod:`repro.runtime.kernel`) is replayed once per draw over the
+perturbed duration vectors, producing a :class:`MakespanDistribution`
+(mean / p50 / p95 / CI) next to the nominal schedule.  This module is the
+kernel's scenario preparer: :class:`ScenarioReplayer` prepares a run once
+through the engine and feeds each draw's fault and noise rows to the
+kernel, so a scenario whose every factor is ``1.0`` reproduces
+:meth:`~repro.runtime.engine.SimulationEngine.run` bit for bit — the
+property the zero-perturbation tests pin.
 
 Two modeling decisions worth knowing:
 
@@ -47,7 +47,6 @@ with the realized durations.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -180,8 +179,8 @@ def _cycle(pattern: Tuple[float, ...], count: int) -> Optional[Tuple[float, ...]
     """Expand a slowdown pattern block-cyclically to ``count`` entries.
 
     Returns ``None`` when the expansion is a no-op (empty or all-ones
-    pattern), so homogeneous machines keep ``slowdowns=None`` and stay on
-    the engine fast path.
+    pattern), so homogeneous machines keep ``slowdowns=None`` and share
+    the nominal machine's memo entries.
     """
     if not pattern or all(f == 1.0 for f in pattern):
         return None
@@ -346,15 +345,13 @@ def available_scenarios() -> List[Tuple[str, str]]:
 class ScenarioReplayer:
     """Replay one (program, engine configuration) under perturbations.
 
-    Construction hoists everything draw-invariant — nominal durations,
-    owner vector, *nominal* policy rank keys (through the engine's module
-    memo tables, shared with plain runs), CSR successor lists, message
-    pricing — so each :meth:`replay` call costs one event loop.
-
-    The loops replicate :meth:`SimulationEngine._run_fast` exactly; with
-    unit factors they produce bit-identical schedules (multiplying a
-    finite positive duration by ``1.0`` is an exact float identity, and
-    the pop/tie disciplines are the same code shape).
+    Construction runs the engine's preparer once
+    (:meth:`~repro.runtime.engine.SimulationEngine.prepare`): nominal
+    rank order, owner vector, node-slowdown-folded durations and message
+    bytes are all draw-invariant, so each :meth:`replay` call costs one
+    pass of the event-loop kernel.  With unit factors a replay is
+    bit-identical to :meth:`SimulationEngine.run` (multiplying a finite
+    positive duration by ``1.0`` is an exact float identity).
     """
 
     def __init__(
@@ -364,69 +361,17 @@ class ScenarioReplayer:
         *,
         node_of_op: Optional[Sequence[int]] = None,
     ) -> None:
-        machine = engine.machine
         self.engine = engine
         self.program = program
-        self.machine = machine
-        self.network = engine.network
-        self.n = n = len(program)
-        self.n_nodes = machine.n_nodes
-        self.cores = machine.cores_per_node
-
-        durations_np = engine.duration_vector(program)
-        if node_of_op is None:
-            node_np = engine.owner_vector(program)
-            cacheable = True
-        else:
-            node_np = np.ascontiguousarray(node_of_op, dtype=np.int64)
-            if self.n_nodes == 1:
-                node_np = None
-            cacheable = False
-        # Rank keys from the *nominal* durations: the policy ranks ops by
-        # its model of the machine — it cannot foresee faults — which is
-        # also what lets every draw share one memoized order.
-        keys = engine.rank_keys(program, durations_np, node_np, cacheable=cacheable)
-        self.entry_of = list(zip(keys, range(n)))
-        self.node_np = node_np
-        self.node_of = node_np.tolist() if node_np is not None else None
-
-        # Fold node slowdowns into the base duration vector (owner nodes
-        # are fixed per op); core slowdowns apply at pop time, when the
-        # core is chosen.
-        node_factors = machine.node_factors()
-        if node_factors is not None:
-            nf = np.asarray(node_factors, dtype=np.float64)
-            if node_np is not None:
-                durations_np = durations_np * nf[node_np]
-            else:
-                durations_np = durations_np * nf[0]
-        self.base_durations_np = durations_np
-        core_factors = machine.core_factors()
-        self.core_factors: Optional[List[float]] = (
-            list(core_factors) if core_factors is not None else None
-        )
-
-        self.succ_indptr, self.succ_ids = program.succ_csr_lists()
-        self.indegree_base: List[int] = np.diff(program.pred_indptr_np).tolist()
-        self.init_ready = [
-            op_id for op_id, deg in enumerate(self.indegree_base) if deg == 0
-        ]
-        self.msg_bytes: Optional[List[int]] = None
-        if self.n_nodes > 1 and self.network.event_driven:
-            from repro.runtime.network import resolved_message_bytes_vector
-
-            self.msg_bytes = resolved_message_bytes_vector(
-                self.network, program, machine
-            ).tolist()
+        self.prepared = engine.prepare(program, node_of_op)
 
     # ------------------------------------------------------------------ #
     def realized_durations_np(
         self, fault_row: Optional[np.ndarray]
     ) -> np.ndarray:
         """Per-op durations of one draw, before core factors."""
-        if fault_row is None:
-            return self.base_durations_np
-        return self.base_durations_np * fault_row
+        base = self.prepared.durations_np
+        return base if fault_row is None else base * fault_row
 
     def effective_durations(
         self,
@@ -440,7 +385,7 @@ class ScenarioReplayer:
         ``finish == start + duration`` check holds on perturbed draws.
         """
         realized = self.realized_durations_np(fault_row)
-        cf = self.core_factors
+        cf = self.prepared.core_factors
         if cf is not None:
             realized = realized * np.asarray(cf, dtype=np.float64)[
                 np.asarray(core_of_task, dtype=np.int64)
@@ -460,205 +405,11 @@ class ScenarioReplayer:
         nominal).  Replays record no traces — use a plain engine run for
         Gantt/trace exports.
         """
-        if self.n == 0:
-            n_nodes = self.n_nodes
-            return Schedule(
-                0.0, [], [], [], [0.0] * n_nodes, 0, 0,
-                core_of_task=[],
-                comm_time_per_node=[0.0] * n_nodes,
-                messages_per_node=[0] * n_nodes,
-            )
-        durations = self.realized_durations_np(fault_row).tolist()
+        durations = None
+        if fault_row is not None:
+            durations = self.realized_durations_np(fault_row).tolist()
         noise = noise_row.tolist() if noise_row is not None else None
-        if self.node_of is None:
-            return self._replay_single(durations)
-        return self._replay_multi(durations, noise)
-
-    def _replay_single(self, durations: List[float]) -> Schedule:
-        n = self.n
-        entry_of = self.entry_of
-        succ_indptr, succ_ids = self.succ_indptr, self.succ_ids
-        indegree = self.indegree_base.copy()
-        ready_time = [0.0] * n
-        start = [0.0] * n
-        finish = [0.0] * n
-        core_of_op = [0] * n
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        cf = self.core_factors
-        core_heap = [(0.0, c) for c in range(self.cores)]  # already a heap
-        ready = []
-        for op_id in self.init_ready:
-            heappush(ready, entry_of[op_id])
-        busy = 0.0
-        scheduled = 0
-        while ready:
-            _, op_id = heappop(ready)
-            core_free, core_idx = heappop(core_heap)
-            rt = ready_time[op_id]
-            t_start = core_free if core_free > rt else rt
-            d = durations[op_id]
-            if cf is not None:
-                d = d * cf[core_idx]
-            t_finish = t_start + d
-            start[op_id] = t_start
-            finish[op_id] = t_finish
-            core_of_op[op_id] = core_idx
-            busy += d
-            heappush(core_heap, (t_finish, core_idx))
-            scheduled += 1
-            for k in range(succ_indptr[op_id], succ_indptr[op_id + 1]):
-                succ = succ_ids[k]
-                if t_finish > ready_time[succ]:
-                    ready_time[succ] = t_finish
-                deg = indegree[succ] - 1
-                indegree[succ] = deg
-                if deg == 0:
-                    heappush(ready, entry_of[succ])
-        if scheduled < n:  # pragma: no cover - defensive (cycle)
-            raise RuntimeError("engine stalled: the program has a cycle")
-        return Schedule(
-            makespan=max(finish),
-            start=start,
-            finish=finish,
-            node_of_task=[0] * n,
-            busy_time_per_node=[busy],
-            messages=0,
-            comm_bytes=0,
-            core_of_task=core_of_op,
-            comm_time_per_node=[0.0],
-            messages_per_node=[0],
-        )
-
-    def _replay_multi(
-        self, durations: List[float], noise: Optional[List[float]]
-    ) -> Schedule:
-        n = self.n
-        machine = self.machine
-        network = self.network
-        n_nodes = self.n_nodes
-        entry_of = self.entry_of
-        node_of = self.node_of
-        succ_indptr, succ_ids = self.succ_indptr, self.succ_ids
-        indegree = self.indegree_base.copy()
-        ready_time = [0.0] * n
-        start = [0.0] * n
-        finish = [0.0] * n
-        core_of_op = [0] * n
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        cf = self.core_factors
-
-        busy = [0.0] * n_nodes
-        messages = 0
-        comm_bytes = 0
-        sent = [0] * n_nodes
-        comm_time = [0.0] * n_nodes
-        event_driven = network.event_driven
-        transfer = machine.transfer_time()
-        handshake = network.handshake_seconds(machine)
-        msg_bytes = self.msg_bytes
-        msg_cost_cache: Dict[int, Tuple[float, float]] = {}
-        seen_transfers: set = set()
-        transfer_arrival: Dict[Tuple[int, int], float] = {}
-        nic_free = [0.0] * n_nodes
-
-        core_heaps: List[List[Tuple[float, int]]] = [
-            [(0.0, c) for c in range(self.cores)] for _ in range(n_nodes)
-        ]
-        ready_heaps: List[List[Tuple[object, int]]] = [[] for _ in range(n_nodes)]
-        for op_id in self.init_ready:
-            heappush(ready_heaps[node_of[op_id]], entry_of[op_id])
-
-        scheduled = 0
-        while scheduled < n:
-            progressed = False
-            for node in range(n_nodes):
-                heap = ready_heaps[node]
-                core_heap = core_heaps[node]
-                while heap:
-                    _, op_id = heappop(heap)
-                    core_free, core_idx = heappop(core_heap)
-                    rt = ready_time[op_id]
-                    t_start = core_free if core_free > rt else rt
-                    d = durations[op_id]
-                    if cf is not None:
-                        d = d * cf[core_idx]
-                    t_finish = t_start + d
-                    start[op_id] = t_start
-                    finish[op_id] = t_finish
-                    core_of_op[op_id] = core_idx
-                    busy[node] += d
-                    heappush(core_heap, (t_finish, core_idx))
-                    scheduled += 1
-                    progressed = True
-                    for k in range(succ_indptr[op_id], succ_indptr[op_id + 1]):
-                        succ = succ_ids[k]
-                        dst = node_of[succ]
-                        arrival = t_finish
-                        if dst != node:
-                            tkey = (op_id, dst)
-                            if event_driven:
-                                cached = transfer_arrival.get(tkey)
-                                if cached is None:
-                                    n_bytes = msg_bytes[op_id]
-                                    cost = msg_cost_cache.get(n_bytes)
-                                    if cost is None:
-                                        cost = (
-                                            machine.injection_seconds(n_bytes),
-                                            network.message_seconds(
-                                                n_bytes, machine
-                                            ),
-                                        )
-                                        msg_cost_cache[n_bytes] = cost
-                                    injection, wire = cost
-                                    if noise is not None:
-                                        # Noise stretches the wire, not the
-                                        # sender's NIC occupancy.
-                                        wire = wire * noise[op_id]
-                                    inject_start = t_finish + handshake
-                                    if nic_free[node] > inject_start:
-                                        inject_start = nic_free[node]
-                                    nic_free[node] = inject_start + injection
-                                    cached = inject_start + wire
-                                    transfer_arrival[tkey] = cached
-                                    messages += 1
-                                    comm_bytes += n_bytes
-                                    sent[node] += 1
-                                    comm_time[node] += injection
-                                arrival = cached
-                            else:
-                                hop = transfer
-                                if noise is not None:
-                                    hop = hop * noise[op_id]
-                                arrival += hop
-                                if tkey not in seen_transfers:
-                                    seen_transfers.add(tkey)
-                                    messages += 1
-                                    comm_bytes += machine.tile_bytes
-                                    sent[node] += 1
-                                    comm_time[node] += hop
-                        if arrival > ready_time[succ]:
-                            ready_time[succ] = arrival
-                        deg = indegree[succ] - 1
-                        indegree[succ] = deg
-                        if deg == 0:
-                            heappush(ready_heaps[dst], entry_of[succ])
-            if not progressed:  # pragma: no cover - defensive (cycle)
-                raise RuntimeError("engine stalled: the program has a cycle")
-
-        return Schedule(
-            makespan=max(finish),
-            start=start,
-            finish=finish,
-            node_of_task=list(node_of),
-            busy_time_per_node=busy,
-            messages=messages,
-            comm_bytes=comm_bytes,
-            core_of_task=core_of_op,
-            comm_time_per_node=comm_time,
-            messages_per_node=sent,
-        )
+        return self.prepared.replay(durations, noise).schedule
 
 
 # --------------------------------------------------------------------------- #
@@ -697,8 +448,7 @@ def run_scenario(
     schedule; stochastic ones add a :class:`MakespanDistribution` over
     ``draws`` Monte-Carlo draws (default: the scenario's own ``draws``)
     seeded by ``seed`` — fault factors are sampled before noise factors,
-    always, so a seed identifies its draws regardless of engine path or
-    hash seed.
+    always, so a seed identifies its draws regardless of hash seed.
     """
     from repro.runtime.engine import SimulationEngine
 

@@ -2,7 +2,7 @@
 
 :func:`verify_schedule` takes a :class:`~repro.runtime.scheduler.Schedule`
 produced by the :class:`~repro.runtime.engine.SimulationEngine` (any policy,
-any network model, any process grid, fast or legacy path) together with the
+any network model, any process grid, any preparer) together with the
 program / machine / network it was simulated under, and statically verifies
 every invariant a feasible distributed execution must satisfy:
 

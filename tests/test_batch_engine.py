@@ -4,8 +4,7 @@ The tentpole contract of :mod:`repro.runtime.batch`: one batched pass over
 many (machine, grid, policy, network) candidates produces schedules
 **bit-identical** to per-candidate
 :meth:`~repro.runtime.engine.SimulationEngine.run` calls — across all
-policies x networks x grids, against both engine paths (SoA fast and
-retained legacy), under ``REPRO_VERIFY=1``, and independent of
+policies x networks x grids, under ``REPRO_VERIFY=1``, and independent of
 ``PYTHONHASHSEED`` — while the analytic pre-pruning of
 :func:`~repro.runtime.batch.simulate_resolved_batch` never changes the
 winning candidate.
@@ -31,7 +30,7 @@ from repro.runtime.batch import (
 from repro.runtime.engine import SimulationEngine, engine_memo_stats
 from repro.runtime.machine import Machine
 from repro.runtime.simulator import _ge2bnd_setup
-from repro.tiles.distribution import ProcessGrid
+from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.trees import make_tree
 from repro.tuning.search import tune
 from repro.tuning.space import SearchSpace
@@ -45,7 +44,7 @@ def _fresh_program_cache():
 
 
 #: (algorithm, p, q, tree, machine, grid) — single- and multi-node shapes,
-#: square and tall-skinny grids (mirrors the bench_scale audit configs).
+#: square and tall-skinny grids.
 CONFIGS = [
     ("bidiag", 10, 8, "greedy",
      Machine(n_nodes=1, cores_per_node=8, tile_size=160), None),
@@ -83,9 +82,8 @@ def _setup(config):
 class TestBatchEquivalence:
     """Batched schedules == per-candidate engine runs, every field."""
 
-    @pytest.mark.parametrize("engine_fast", [True, False])
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c[0]}-{c[1]}x{c[2]}")
-    def test_policy_network_matrix(self, config, engine_fast):
+    def test_policy_network_matrix(self, config):
         machine, setup = _setup(config)
         candidates = [
             BatchCandidate(machine, setup.distribution, policy=pol, network=net)
@@ -98,7 +96,6 @@ class TestBatchEquivalence:
                 cand.distribution,
                 policy=cand.policy,
                 network=cand.network,
-                fast=engine_fast,
             ).run(setup.program)
             _assert_schedules_identical(got, ref)
 
@@ -122,6 +119,26 @@ class TestBatchEquivalence:
             _assert_schedules_identical(got, ref)
             makespans.add(got.makespan)
         assert len(makespans) > 1  # the machines genuinely differ
+
+    def test_heterogeneous_machine_across_grids(self):
+        # Node slowdowns fold into the durations per owner node, so one
+        # heterogeneous machine on two grids must not share a duration list.
+        program = get_program("bidiag", 8, 8, make_tree("flattt"))
+        machine = Machine(n_nodes=4, cores_per_node=2, tile_size=100,
+                          node_slowdowns=(1.0, 1.5, 1.0, 2.0),
+                          core_slowdowns=(1.25, 1.0))
+        candidates = [
+            BatchCandidate(machine, BlockCyclicDistribution(grid), policy=pol)
+            for grid in (ProcessGrid(2, 2), ProcessGrid(4, 1))
+            for pol in ("list", "fifo")
+        ]
+        schedules = simulate_batch(program, candidates)
+        for cand, got in zip(candidates, schedules):
+            ref = SimulationEngine(
+                cand.machine, cand.distribution, policy=cand.policy
+            ).run(program)
+            _assert_schedules_identical(got, ref)
+        assert schedules[0].makespan != schedules[2].makespan
 
     def test_dedup_false_still_identical(self):
         machine, setup = _setup(CONFIGS[0])
@@ -188,8 +205,8 @@ class TestBatchMemoStats:
         assert delta["batch_pruned"] == 0
         # Locality degenerates to list on one node, so its order resolves
         # through list's memo entry: 2 misses (list, fifo) + 1 hit.
-        assert delta["batch_order_misses"] == 2
-        assert delta["batch_order_hits"] == 1
+        assert delta["rank_misses"] == 2
+        assert delta["rank_hits"] == 1
 
     def test_machine_invariant_order_shared_across_machines(self):
         program = get_program("bidiag", 8, 6, make_tree("greedy"))
@@ -206,8 +223,8 @@ class TestBatchMemoStats:
             for m in machines
         ])
         delta = self._delta(before)
-        assert delta["batch_order_misses"] == 3  # 1 critical-path + 2 list
-        assert delta["batch_order_hits"] == 1    # critical-path, 2nd machine
+        assert delta["rank_misses"] == 3  # 1 critical-path + 2 list
+        assert delta["rank_hits"] == 1    # critical-path, 2nd machine
         assert delta["batch_simulated"] == 4
         assert delta["batch_deduped"] == 0
 
@@ -218,15 +235,15 @@ class TestBatchMemoStats:
         before = engine_memo_stats()
         simulate_batch(setup.program, candidates)
         delta = self._delta(before)
-        assert delta["batch_order_hits"] == 1
-        assert delta["batch_order_misses"] == 0
+        assert delta["rank_hits"] == 1
+        assert delta["rank_misses"] == 0
 
     def test_stats_expose_batch_keys(self):
         stats = engine_memo_stats()
         for key in (
-            "batch_order_programs",
-            "batch_order_hits",
-            "batch_order_misses",
+            "rank_programs",
+            "rank_hits",
+            "rank_misses",
             "batch_candidates",
             "batch_simulated",
             "batch_deduped",

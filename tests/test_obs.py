@@ -106,21 +106,22 @@ def test_tracing_does_not_perturb_schedule(policy, network):
     assert run.makespan == plain.makespan
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_tracing_identical_on_both_engine_paths(fast):
+@pytest.mark.parametrize("network", ["uniform", "alpha-beta"])
+def test_tracing_records_every_deduplicated_transfer(network):
     machine = _machine(n_nodes=2, cores=2)
     grid = ProcessGrid(1, 2)
     program = get_program("bidiag", 6, 6, FlatTTTree(), n_cores=2,
                           grid_rows=grid.rows)
     dist = BlockCyclicDistribution(grid)
-    engine = SimulationEngine(machine, dist, network="alpha-beta", fast=fast)
+    engine = SimulationEngine(machine, dist, network=network)
     plain = engine.run(program)
     tracer = Tracer(clock=FakeClock())
     with tracer.activate():
         traced = engine.run(program)
     _assert_schedules_identical(plain, traced)
-    # Both paths record the same number of deduplicated transfers.
-    assert len(tracer.runs[0].transfers) == plain.messages
+    transfers = tracer.runs[0].transfers
+    assert len(transfers) == plain.messages > 0
+    assert sum(t.n_bytes for t in transfers) == plain.comm_bytes
 
 
 def test_single_node_run_has_no_transfers():
@@ -355,13 +356,18 @@ def test_engine_memo_stats_promoted_to_registry():
     machine = _machine(n_nodes=1, cores=4)
     _simulate(machine, tree=GreedyTree())
     stats = engine_memo_stats()
-    # Legacy table-size keys survive alongside the new hit/miss counters.
+    # Table-size keys survive alongside the hit/miss counters.
     for key in ("duration_programs", "owner_programs", "rank_programs"):
         assert key in stats
     assert stats["duration_misses"] >= 1
+    # One dense-rank order per (program, policy, machine): one miss, then
+    # the second run of the same program hits it.
+    assert (stats["rank_misses"], stats["rank_hits"]) == (1, 0)
     before_hits = stats["duration_hits"]
     _simulate(machine, tree=GreedyTree())  # same program -> memo hits
-    assert engine_memo_stats()["duration_hits"] > before_hits
+    stats = engine_memo_stats()
+    assert stats["duration_hits"] > before_hits
+    assert (stats["rank_misses"], stats["rank_hits"]) == (1, 1)
 
 
 # --------------------------------------------------------------------------- #

@@ -18,7 +18,7 @@ import pytest
 
 from repro.api import SvdPlan, execute, execute_sweep
 from repro.obs.metrics import REGISTRY
-from repro.runtime.batch import BatchCandidate, simulate_batch
+from repro.runtime.batch import BatchCandidate
 from repro.runtime.engine import SimulationEngine
 from repro.runtime.faults import (
     FailStopFaults,
@@ -259,13 +259,6 @@ class TestGoldenPinnedDefaultPath:
                                  policy=policy, network=network)
         assert result.time_seconds.hex() == GOLDEN_MAKESPANS[(policy, network)]
 
-    @pytest.mark.parametrize("policy,network", sorted(GOLDEN_MAKESPANS))
-    def test_legacy_engine_path_matches_pin(self, policy, network, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_FAST", "0")
-        result = simulate_ge2bnd(300, 200, _pin_machine(),
-                                 policy=policy, network=network)
-        assert result.time_seconds.hex() == GOLDEN_MAKESPANS[(policy, network)]
-
     def test_trivial_scenario_is_bit_identical_to_default(self):
         plain = simulate_ge2bnd(300, 200, _pin_machine())
         via_none = simulate_ge2bnd(300, 200, _pin_machine(), scenario="none")
@@ -391,15 +384,34 @@ class TestBatchedScenarios:
                 assert row["mc_p95"] == single.distribution.p95
                 assert row["mc_mean"] == single.distribution.mean
 
-    def test_batch_engine_rejects_heterogeneous_machines(self):
+    @pytest.mark.parametrize("scenario", ["hetero", "slow-core", "hostile"])
+    @pytest.mark.parametrize("network", ["uniform", "alpha-beta"])
+    def test_batched_heterogeneous_candidate_matches_run_scenario(
+        self, scenario, network
+    ):
         from repro.ir.compiler import get_program
-        from repro.trees import GreedyTree
+        from repro.runtime.batch import BatchEngine
+        from repro.trees import FlatTTTree
 
-        program = get_program("bidiag", 2, 2, GreedyTree())
-        het = Machine(n_nodes=1, cores_per_node=2, tile_size=100,
-                      core_slowdowns=(1.5, 1.0))
-        with pytest.raises(ValueError, match="nominal durations only"):
-            simulate_batch(program, [BatchCandidate(machine=het)])
+        program = get_program("bidiag", 6, 6, FlatTTTree())
+        nominal = Machine(n_nodes=4, cores_per_node=4, tile_size=100)
+        scen = get_scenario(scenario)
+        het = scen.apply_to_machine(nominal)
+        assert het.heterogeneous
+        candidates = [
+            BatchCandidate(machine=het, policy=policy, network=network)
+            for policy in ("list", "locality")
+        ]
+        engine = BatchEngine()
+        bounds = engine.lower_bounds(program, candidates)
+        batched = engine.run_batch(program, candidates)
+        for cand, bound, got in zip(candidates, bounds, batched):
+            ref = run_scenario(
+                program, nominal, scen, policy=cand.policy, network=network,
+                draws=2, seed=3,
+            ).schedule
+            assert got == ref  # every field, bitwise
+            assert 0.0 < bound <= got.makespan
 
     def test_robust_makespan_tuning_is_reproducible(self):
         from repro.tuning import SearchSpace, tune
@@ -473,11 +485,11 @@ class TestScenarioCLI:
 
 
 # --------------------------------------------------------------------------- #
-# Seeded determinism across interpreter and engine paths (@slow)
+# Seeded determinism across interpreters (@slow)
 # --------------------------------------------------------------------------- #
 class TestSeededDeterminism:
     """The Monte-Carlo draws of a seed must be identical across
-    PYTHONHASHSEED values and across the fast / legacy engine paths."""
+    PYTHONHASHSEED values."""
 
     SNIPPET = (
         "import sys; sys.path.insert(0, 'src')\n"
@@ -490,8 +502,8 @@ class TestSeededDeterminism:
         "print([m.hex() for m in r.distribution.makespans])\n"
     )
 
-    def _run(self, *, hash_seed="0", fast="1"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, REPRO_ENGINE_FAST=fast)
+    def _run(self, *, hash_seed="0"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         proc = subprocess.run(
             [sys.executable, "-c", self.SNIPPET],
             capture_output=True,
@@ -505,7 +517,3 @@ class TestSeededDeterminism:
     @pytest.mark.slow
     def test_draws_identical_across_hash_seeds(self):
         assert self._run(hash_seed="0") == self._run(hash_seed="4242")
-
-    @pytest.mark.slow
-    def test_draws_identical_across_engine_paths(self):
-        assert self._run(fast="1") == self._run(fast="0")

@@ -1,12 +1,12 @@
-"""Differential and property tests for the structure-of-arrays fast path.
+"""Differential and property tests for the structure-of-arrays pipeline.
 
-The tentpole contract: the SoA pipeline (column recording, integer-coded
+The contract: the SoA pipeline (column recording, integer-coded
 dependency analysis, vectorized CSR/level construction, array-native
-engine) is **bit-identical** to the legacy object path on every observable
-— schedules (makespan, per-op start/finish, node/core mapping, message and
-byte counts), rank arrays, critical paths, bottom levels and static
-communication counts — across all policies x networks x grids, and
-independent of ``PYTHONHASHSEED``.
+engine preparation) is **bit-identical** to the per-op object path on
+every observable it replaces — rank arrays, critical paths, bottom levels,
+static communication counts — and independent of ``PYTHONHASHSEED``.
+Full schedules across all policies x networks x grids are pinned by the
+golden digests of ``tests/test_golden_schedules.py``.
 """
 
 import gc
@@ -24,6 +24,7 @@ from repro.analysis.communication import (
 from repro.dag.critical_path import critical_path_length
 from repro.ir import Program, clear_program_cache, compile_program, get_program
 from repro.runtime.engine import (
+    _OWNER_VECTORS,
     SimulationEngine,
     critical_path_seconds,
     engine_memo_stats,
@@ -34,6 +35,7 @@ from repro.runtime.network import get_network_model
 from repro.runtime.policies import POLICIES, RandomPolicy, get_policy
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.trees import FlatTSTree, FlatTTTree, GreedyTree
+from repro.verify.schedule import verify_schedule
 
 
 @pytest.fixture(autouse=True)
@@ -66,38 +68,26 @@ def _assert_schedules_identical(a, b):
     assert a.messages_per_node == b.messages_per_node
 
 
-class TestFastLegacySchedules:
-    """SoA fast path == legacy object path, every schedule field."""
+class TestSingleRuns:
+    """Edge shapes of one engine run (the full policy x network x grid
+    matrix is pinned by tests/test_golden_schedules.py)."""
 
-    @pytest.mark.parametrize("network", ["uniform", "alpha-beta"])
-    @pytest.mark.parametrize("policy", sorted(POLICIES))
-    @pytest.mark.parametrize("alg,p,q,tree,machine", CONFIGS)
-    def test_bitwise_equal(self, alg, p, q, tree, machine, policy, network):
-        program = get_program(alg, p, q, tree)
-        fast = SimulationEngine(
-            machine, policy=policy, network=network, fast=True
-        ).run(program)
-        legacy = SimulationEngine(
-            machine, policy=policy, network=network, fast=False
-        ).run(program)
-        _assert_schedules_identical(fast, legacy)
-
-    def test_env_var_disables_fast_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_FAST", "0")
-        machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
-        assert SimulationEngine(machine).fast is False
-        monkeypatch.setenv("REPRO_ENGINE_FAST", "1")
-        assert SimulationEngine(machine).fast is True
-        # Explicit argument wins over the environment.
-        assert SimulationEngine(machine, fast=False).fast is False
-
-    def test_empty_and_single_op_programs(self):
+    def test_single_op_program(self):
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
         program = get_program("bidiag", 1, 1, GreedyTree())
-        fast = SimulationEngine(machine, fast=True).run(program)
-        legacy = SimulationEngine(machine, fast=False).run(program)
-        _assert_schedules_identical(fast, legacy)
-        assert fast.makespan > 0
+        sched = SimulationEngine(machine).run(program)
+        assert len(program) == 1
+        assert sched.start == [0.0]
+        assert sched.makespan == machine.kernel_duration(program.ops[0].kernel)
+        assert sched.busy_time_per_node == [sched.makespan]
+
+    def test_empty_program(self):
+        machine = Machine(n_nodes=2, cores_per_node=4, tile_size=100)
+        sched = SimulationEngine(machine).run(Program.from_ops([]))
+        assert sched.makespan == 0.0
+        assert sched.start == [] and sched.core_of_task == []
+        assert sched.busy_time_per_node == [0.0, 0.0]
+        assert sched.messages_per_node == [0, 0]
 
 
 class TestRankArrays:
@@ -240,18 +230,18 @@ class TestOwnerVector:
 
     def test_precomputed_node_of_op(self):
         # A caller-supplied placement (round-robin, ignoring the block-cyclic
-        # rule) must be honoured identically by both engine paths.
+        # rule) must be honoured, and the schedule must stay feasible for it.
         program = get_program("bidiag", 6, 6, GreedyTree())
         machine = Machine(n_nodes=3, cores_per_node=4, tile_size=100)
         placement = [i % 3 for i in range(len(program))]
-        fast = SimulationEngine(machine, fast=True).run(
-            program, node_of_op=placement
-        )
-        legacy = SimulationEngine(machine, fast=False).run(
-            program, node_of_op=placement
-        )
-        _assert_schedules_identical(fast, legacy)
-        assert fast.node_of_task == placement
+        for network in ("uniform", "alpha-beta"):
+            sched = SimulationEngine(machine, network=network).run(
+                program, node_of_op=placement
+            )
+            assert sched.node_of_task == placement
+            verify_schedule(
+                sched, program, machine, network=network, node_of_op=placement
+            ).raise_if_failed()
 
     def test_node_of_op_length_validated(self):
         program = get_program("bidiag", 4, 4, GreedyTree())
@@ -276,19 +266,22 @@ class TestMemoization:
         c = SimulationEngine(other).duration_vector(program)
         assert c is not a
 
-    def test_rank_keys_memoized_per_policy(self):
+    def test_rank_order_memoized_per_policy(self):
         program = get_program("bidiag", 6, 6, GreedyTree())
         machine = Machine(n_nodes=1, cores_per_node=8, tile_size=160)
         e1 = SimulationEngine(machine, policy="list")
         e2 = SimulationEngine(machine, policy="list")
         d = e1.duration_vector(program)
-        k1 = e1.rank_keys(program, d, None)
-        k2 = e2.rank_keys(program, d, None)
-        assert k1 is k2
+        o1 = e1.rank_order(program, d, None)
+        o2 = e2.rank_order(program, d, None)
+        assert o1 is o2
+        # On one node locality folds onto list's order (same memo entry).
+        local = SimulationEngine(machine, policy="locality")
+        assert local.rank_order(program, d, None) is o1
         # Different random seeds must not collide in the memo.
         r0 = SimulationEngine(machine, policy=RandomPolicy(seed=0))
         r1 = SimulationEngine(machine, policy=RandomPolicy(seed=1))
-        assert r0.rank_keys(program, d, None) != r1.rank_keys(program, d, None)
+        assert r0.rank_order(program, d, None) != r1.rank_order(program, d, None)
 
     def test_owner_vector_memoized_per_grid(self):
         program = get_program("bidiag", 8, 8, FlatTTTree())
@@ -322,11 +315,10 @@ class TestMemoization:
         machine = Machine(n_nodes=4, cores_per_node=2, tile_size=100)
         plain = BlockCyclicDistribution(ProcessGrid(2, 2))
         shifted = ShiftedDistribution(ProcessGrid(2, 2))
-        fast = SimulationEngine(machine, shifted, fast=True).run(program)
-        legacy = SimulationEngine(machine, shifted, fast=False).run(program)
-        _assert_schedules_identical(fast, legacy)
+        sched = SimulationEngine(machine, shifted).run(program)
         want = [(plain.owner(*op.owner_tile) + 1) % 4 for op in program.ops]
-        assert fast.node_of_task == want
+        assert sched.node_of_task == want
+        assert _OWNER_VECTORS.get(program) is None
 
     def test_custom_distribution_never_hits_rank_memo(self):
         # Regression: rank keys memoized under (machine, grid shape) for
@@ -340,18 +332,19 @@ class TestMemoization:
         program = get_program("bidiag", 8, 8, GreedyTree())
         machine = Machine(n_nodes=6, cores_per_node=2, tile_size=100)
         grid = ProcessGrid(2, 3)
-        # Populate the memo with the canonical mapping first.
+        # The custom mapping on a cold memo is the reference.
+        custom_cold = SimulationEngine(
+            machine, TransposedDistribution(grid), policy="locality"
+        ).run(program)
+        # Populate the memo with the canonical mapping, then rerun.
         plain = SimulationEngine(
             machine, BlockCyclicDistribution(grid), policy="locality"
         ).run(program)
-        custom_fast = SimulationEngine(
-            machine, TransposedDistribution(grid), policy="locality", fast=True
+        custom = SimulationEngine(
+            machine, TransposedDistribution(grid), policy="locality"
         ).run(program)
-        custom_legacy = SimulationEngine(
-            machine, TransposedDistribution(grid), policy="locality", fast=False
-        ).run(program)
-        _assert_schedules_identical(custom_fast, custom_legacy)
-        assert custom_fast.node_of_task != plain.node_of_task
+        _assert_schedules_identical(custom, custom_cold)
+        assert custom.node_of_task != plain.node_of_task
         # ... and the custom runs must not have poisoned the memo either.
         plain_again = SimulationEngine(
             machine, BlockCyclicDistribution(grid), policy="locality"
@@ -372,14 +365,9 @@ class TestMemoization:
 
         program = get_program("bidiag", 8, 8, FlatTTTree())
         machine = Machine(n_nodes=4, cores_per_node=4, tile_size=100)
-        fast = SimulationEngine(
-            machine, network=QuarterTile(), fast=True
-        ).run(program)
-        legacy = SimulationEngine(
-            machine, network=QuarterTile(), fast=False
-        ).run(program)
-        _assert_schedules_identical(fast, legacy)
-        assert fast.comm_bytes == fast.messages * (machine.tile_bytes // 4)
+        sched = SimulationEngine(machine, network=QuarterTile()).run(program)
+        assert sched.messages > 0
+        assert sched.comm_bytes == sched.messages * (machine.tile_bytes // 4)
 
     def test_object_built_programs_honor_custom_weights(self):
         # Regression: from_ops/from_task_graph programs carry whatever
@@ -393,13 +381,15 @@ class TestMemoization:
         assert program.total_weight() == 7 * base.total_weight()
         assert program.critical_path() == 7 * base.critical_path()
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
-        fast = SimulationEngine(machine, policy="critical-path", fast=True).run(
-            program
+        policy = get_policy("critical-path")
+        durations = SimulationEngine(machine).duration_vector(program)
+        keys = policy.rank_array(program, durations, None, machine)
+        assert list(keys) == policy.rank(
+            program, durations.tolist(), [0] * len(program), machine
         )
-        legacy = SimulationEngine(
-            machine, policy="critical-path", fast=False
-        ).run(program)
-        _assert_schedules_identical(fast, legacy)
+        assert list(keys) == [7 * k for k in policy.rank(
+            base, durations.tolist(), [0] * len(base), machine
+        )]
 
     def test_csr_views_are_read_only(self):
         program = get_program("bidiag", 5, 4, GreedyTree())
@@ -487,8 +477,8 @@ class TestHashSeedDeterminism:
         "for policy in ('list', 'critical-path', 'locality'):\n"
         "    engine = SimulationEngine(machine, policy=policy)\n"
         "    d = engine.duration_vector(program)\n"
-        "    keys = engine.rank_keys(program, d, engine.owner_vector(program))\n"
-        "    print(policy, keys)\n"
+        "    order = engine.rank_order(program, d, engine.owner_vector(program))\n"
+        "    print(policy, order)\n"
         "print(program.levels_np.tolist())\n"
         "print(SimulationEngine(machine).run(program).makespan)\n"
     )

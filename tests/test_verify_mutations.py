@@ -157,16 +157,13 @@ def _verify(schedule, program, machine, engine, network):
     )
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["fast", "legacy"])
-def test_clean_schedules_accepted_across_policies_networks(fast):
+def test_clean_schedules_accepted_across_policies_networks():
     program = _compile(PROGRAM_SHAPES[0])
     combos = 0
     for machine in MACHINES:
         for policy in POLICY_NAMES:
             for network in NETWORK_NAMES:
-                engine = SimulationEngine(
-                    machine, policy=policy, network=network, fast=fast
-                )
+                engine = SimulationEngine(machine, policy=policy, network=network)
                 schedule = engine.run(program)
                 report = _verify(schedule, program, machine, engine, network)
                 assert report.ok, (
