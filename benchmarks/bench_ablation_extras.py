@@ -13,11 +13,11 @@
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.dag.tracer import trace_bidiag
+from repro.ir import get_program
 from repro.experiments.figures import format_rows
 from repro.kernels import costs
+from repro.runtime.engine import run_policy
 from repro.runtime.machine import Machine
-from repro.runtime.scheduler import ListScheduler
 from repro.runtime.simulator import simulate_ge2bnd
 from repro.trees import AutoTree, GreedyTree
 
@@ -60,19 +60,19 @@ def test_ablation_kernel_efficiency_gap(benchmark, monkeypatch):
 
 def test_ablation_scheduler_policy(benchmark):
     machine = Machine(n_nodes=1, cores_per_node=16, tile_size=160)
-    graph = trace_bidiag(24, 24, GreedyTree())
+    graph = get_program("bidiag", 24, 24, GreedyTree())
 
     def run():
         rows = []
-        for policy in ("bottom-level", "fifo", "weight"):
-            schedule = ListScheduler(machine, priority=policy).run(graph)
+        for policy in ("list", "fifo", "weight"):
+            schedule = run_policy(graph, machine, policy=policy)
             rows.append({"policy": policy, "makespan_ms": schedule.makespan * 1e3})
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     print_table("Ablation: scheduler priority policy (24x24 tiles, 16 cores)", format_rows(rows))
     by_policy = {r["policy"]: r["makespan_ms"] for r in rows}
-    # The bottom-level (critical-path aware) priority is the best of the three
-    # (or tied within 5%).
+    # The bottom-level (critical-path aware) list priority is the best of the
+    # three (or tied within 5%).
     best = min(by_policy.values())
-    assert by_policy["bottom-level"] <= best * 1.05
+    assert by_policy["list"] <= best * 1.05

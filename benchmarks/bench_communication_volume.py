@@ -9,7 +9,7 @@ checks that ordering, for square and tall-and-skinny tile shapes.
 
 from benchmarks.conftest import print_table
 from repro.analysis.communication import communication_volume, panel_messages_estimate
-from repro.dag.tracer import trace_bidiag
+from repro.ir import get_program
 from repro.experiments.figures import format_rows
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.trees import GreedyTree, HierarchicalTree
@@ -17,7 +17,7 @@ from repro.trees import GreedyTree, HierarchicalTree
 
 def _volume(p, q, top, grid_rows, grid_cols):
     tree = HierarchicalTree(local_tree=GreedyTree(), top=top, grid_rows=grid_rows)
-    graph = trace_bidiag(p, q, tree, grid_rows=grid_rows)
+    graph = get_program("bidiag", p, q, tree, grid_rows=grid_rows)
     dist = BlockCyclicDistribution(ProcessGrid(grid_rows, grid_cols))
     return communication_volume(graph, dist, tile_size=160)
 

@@ -6,7 +6,7 @@ traced DAG matches the analytic flop count at the tile level.
 """
 
 from benchmarks.conftest import print_table
-from repro.dag.tracer import trace_bidiag
+from repro.ir import get_program
 from repro.experiments.figures import format_rows
 from repro.models.flops import chan_crossover_m, ge2bd_flops, rbidiag_flops
 from repro.trees import FlatTSTree
@@ -43,10 +43,10 @@ def test_dag_weight_matches_flop_count(benchmark):
     """The traced BIDIAG DAG performs ~4n^2(m - n/3) flops (at tile granularity)."""
     p, q, nb = 12, 8, 100
     graph = benchmark.pedantic(
-        lambda: trace_bidiag(p, q, FlatTSTree()), rounds=1, iterations=1
+        lambda: get_program("bidiag", p, q, FlatTSTree()), rounds=1, iterations=1
     )
     m, n = p * nb, q * nb
-    dag_flops = graph.total_flops(nb)
+    dag_flops = graph.total_weight() * nb**3 / 3
     analytic = ge2bd_flops(m, n)
     # Tile-granularity overhead (panel factors, triangle padding) keeps the
     # DAG within a modest factor of the element-wise count.

@@ -13,7 +13,7 @@ from benchmarks.conftest import print_table
 from repro.analysis.asymptotics import asymptotic_sweep, theorem1_limit_ratio
 from repro.analysis.formulas import bidiag_greedy_cp
 from repro.dag.critical_path import critical_path_length
-from repro.dag.tracer import trace_bidiag
+from repro.ir import get_program
 from repro.experiments.figures import format_rows
 from repro.trees import GreedyTree
 
@@ -57,7 +57,7 @@ def test_measured_cp_matches_closed_form(benchmark):
     def run():
         rows = []
         for p, q in shapes:
-            measured = critical_path_length(trace_bidiag(p, q, GreedyTree()))
+            measured = critical_path_length(get_program("bidiag", p, q, GreedyTree()))
             formula = bidiag_greedy_cp(p, q)
             rows.append({"p": p, "q": q, "measured": measured, "formula": formula})
         return rows

@@ -23,7 +23,7 @@ from repro.analysis.crossover import crossover_table
 from repro.analysis.formulas import bidiag_cp, rbidiag_cp
 from repro.dag.analysis import graph_stats
 from repro.dag.critical_path import critical_path_length
-from repro.dag.tracer import trace_bidiag, trace_rbidiag
+from repro.ir import get_program
 from repro.trees import FlatTSTree, FlatTTTree, GreedyTree
 
 
@@ -39,14 +39,14 @@ def main() -> None:
           f"{'R-BIDIAG meas':>14s} {'formula':>9s}")
     for p, q in shapes:
         for name, tree in trees.items():
-            b_meas = critical_path_length(trace_bidiag(p, q, tree))
-            r_meas = critical_path_length(trace_rbidiag(p, q, tree))
+            b_meas = critical_path_length(get_program("bidiag", p, q, tree))
+            r_meas = critical_path_length(get_program("rbidiag", p, q, tree))
             print(f"{p:5d}x{q:<4d} {name:>8s} {b_meas:12.0f} {bidiag_cp(p, q, name):9d} "
                   f"{r_meas:14.0f} {rbidiag_cp(p, q, name):9d}")
 
     print("\n== parallelism of the three trees (16x16 tiles, BIDIAG) ==")
     for name, tree in trees.items():
-        stats = graph_stats(trace_bidiag(16, 16, tree))
+        stats = graph_stats(get_program("bidiag", 16, 16, tree))
         print(f"  {name:8s}: work={stats.work:8.0f}  span={stats.span:6.0f}  "
               f"average parallelism={stats.average_parallelism:6.1f}")
 

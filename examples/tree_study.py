@@ -17,7 +17,7 @@ Run:  python examples/tree_study.py
 import os
 
 from repro.dag.critical_path import critical_path_length, critical_path_tasks
-from repro.dag.tracer import trace_bidiag
+from repro.ir import get_program
 from repro.experiments.figures import format_rows
 from repro.runtime.machine import Machine
 from repro.runtime.simulator import simulate_ge2bnd
@@ -35,7 +35,7 @@ def dag_study(p: int, q: int) -> None:
     print(f"\n--- task graphs for a {p} x {q} tile matrix (BIDIAG) ---")
     rows = []
     for name, tree in TREES.items():
-        graph = trace_bidiag(p, q, tree)
+        graph = get_program("bidiag", p, q, tree)
         cp = critical_path_length(graph)
         rows.append(
             {
@@ -53,7 +53,7 @@ def dag_study(p: int, q: int) -> None:
 def critical_path_anatomy(p: int, q: int) -> None:
     print(f"\n--- what lies on the critical path ({p} x {q}, Greedy vs FlatTS) ---")
     for name in ("FlatTS", "Greedy"):
-        graph = trace_bidiag(p, q, TREES[name])
+        graph = get_program("bidiag", p, q, TREES[name])
         path = critical_path_tasks(graph)
         kernels = {}
         for task in path:

@@ -20,7 +20,8 @@ The package provides, from the bottom up:
 * ``repro.ir`` — the compiled op-stream Program IR: algorithm drivers are
   captured once per DAG shape (op stream + CSR dependencies, shared
   in-process cache) and replayed by every consumer below;
-* ``repro.dag`` — legacy task-graph front-end and critical-path analyses;
+* ``repro.dag`` — critical-path, structural analyses and DOT/JSON export
+  over compiled programs;
 * ``repro.runtime`` — a PaRSEC-like event-driven runtime engine with
   pluggable scheduling policies (bounded cores, nodes, network) used for
   the performance studies;

@@ -9,9 +9,10 @@ meaning:
 * :class:`NumericExecutor` applies the real Householder kernels to a
   :class:`~repro.tiles.matrix.TiledMatrix`, producing an actual
   factorization;
-* :class:`~repro.dag.tracer.TraceExecutor` (defined with the DAG tools)
-  records each operation as a task with its read/write sets, producing the
-  task graph used for critical-path analysis and runtime simulation;
+* :class:`~repro.ir.recorder.ProgramRecorder` (defined with the IR)
+  records each operation as an op with its read/write sets, producing the
+  :class:`~repro.ir.program.Program` used for critical-path analysis and
+  runtime simulation;
 * :class:`MultiExecutor` fans an operation out to several executors, so one
   run can produce the numbers *and* the DAG that was executed.
 

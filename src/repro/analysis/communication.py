@@ -7,10 +7,10 @@ the flat tree, which is why the flat tree can win despite exposing less
 parallelism.  These tools quantify that trade-off:
 
 * :func:`communication_volume` counts, from a compiled
-  :class:`~repro.ir.program.Program` (or a legacy traced task graph) and a
-  block-cyclic distribution, the inter-node messages the owner-computes
-  rule induces (one message per produced data item and destination node,
-  matching the runtime simulator's accounting);
+  :class:`~repro.ir.program.Program` and a block-cyclic distribution, the
+  inter-node messages the owner-computes rule induces (one message per
+  produced data item and destination node, matching the runtime
+  simulator's accounting);
 * :func:`communication_matrix` breaks the same count down by
   (source node, destination node) pair;
 * :func:`panel_messages_estimate` gives the closed-form per-panel message
@@ -27,24 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from repro.dag.task import TaskGraph
 from repro.ir.program import Program
 from repro.tiles.distribution import BlockCyclicDistribution
-
-GraphLike = Union[TaskGraph, Program]
-
-
-def _owner_tiles(graph: GraphLike) -> List[Tuple[int, int]]:
-    """Owner tile of every task/op, indexed by dense id."""
-    if isinstance(graph, Program):
-        return list(
-            zip(graph.owner_rows_np.tolist(), graph.owner_cols_np.tolist())
-        )
-    return [t.owner_tile for t in graph.tasks]
 
 
 def _cross_edge_pairs(
@@ -73,19 +61,36 @@ def _cross_edge_pairs(
     return src_u, owner[src_u], pair % n_nodes
 
 
-def _successor_lists(graph: GraphLike) -> Iterator[Tuple[int, Sequence[int]]]:
-    """``(task id, successor ids)`` pairs for either DAG container."""
-    if isinstance(graph, Program):
-        for src_id in range(len(graph)):
-            yield src_id, graph.successors(src_id)
-    else:
-        for src_id, dsts in graph.successors.items():
-            yield src_id, dsts
+def _cross_edge_walk(
+    graph: Program, distribution: BlockCyclicDistribution
+) -> Iterator[Tuple[int, int]]:
+    """``(src node, dst node)`` of every deduplicated cross-node transfer.
+
+    The scalar per-edge walk: one ``distribution.owner`` call per op, so
+    it honours any :class:`BlockCyclicDistribution` subclass that
+    overrides the owner rule (the vectorized path assumes the stock one).
+    """
+    owner = [
+        distribution.owner(i, j)
+        for i, j in zip(graph.owner_rows_np.tolist(), graph.owner_cols_np.tolist())
+    ]
+    seen: set[Tuple[int, int]] = set()
+    for src_id in range(len(graph)):
+        src_node = owner[src_id]
+        for dst_id in graph.successors(src_id):
+            dst_node = owner[dst_id]
+            if dst_node == src_node:
+                continue
+            key = (src_id, dst_node)
+            if key in seen:
+                continue
+            seen.add(key)
+            yield src_node, dst_node
 
 
 @dataclass(frozen=True)
 class CommunicationStats:
-    """Inter-node communication induced by a task graph on a distribution.
+    """Inter-node communication induced by a program on a distribution.
 
     Attributes
     ----------
@@ -114,48 +119,35 @@ class CommunicationStats:
 
 
 def communication_volume(
-    graph: GraphLike,
+    graph: Program,
     distribution: BlockCyclicDistribution,
     *,
     tile_size: int = 160,
 ) -> CommunicationStats:
     """Count the inter-node transfers of ``graph`` under ``distribution``.
 
-    ``graph`` may be a compiled :class:`~repro.ir.program.Program` or a
-    legacy :class:`~repro.dag.task.TaskGraph`.  A transfer happens when a
-    task's output is consumed by a task mapped to a different node;
-    transfers of the same output to the same node are counted once (the
-    runtime caches remote tiles), mirroring the *message-count* accounting
+    A transfer happens when a task's output is consumed by a task mapped
+    to a different node; transfers of the same output to the same node are
+    counted once (the runtime caches remote tiles), mirroring the *message-count* accounting
     of :class:`repro.runtime.engine.SimulationEngine` under every network
     model.  Byte totals use the legacy full-tile pricing and match the
     engine's ``comm_bytes`` only under ``network="uniform"``.
     """
     n_nodes = distribution.grid.size
-    if isinstance(graph, Program) and type(distribution) is BlockCyclicDistribution:
+    if type(distribution) is BlockCyclicDistribution:
         # Vectorized static count (same dedup rule, whole-array passes).
         _, src_nodes, dst_nodes = _cross_edge_pairs(graph, distribution)
         messages = int(src_nodes.size)
         sent = np.bincount(src_nodes, minlength=n_nodes).tolist()
         received = np.bincount(dst_nodes, minlength=n_nodes).tolist()
     else:
-        owner = [distribution.owner(*tile) for tile in _owner_tiles(graph)]
-        seen: set[Tuple[int, int]] = set()
         sent = [0] * n_nodes
         received = [0] * n_nodes
         messages = 0
-        for src_id, dsts in _successor_lists(graph):
-            src_node = owner[src_id]
-            for dst_id in dsts:
-                dst_node = owner[dst_id]
-                if dst_node == src_node:
-                    continue
-                key = (src_id, dst_node)
-                if key in seen:
-                    continue
-                seen.add(key)
-                messages += 1
-                sent[src_node] += 1
-                received[dst_node] += 1
+        for src_node, dst_node in _cross_edge_walk(graph, distribution):
+            messages += 1
+            sent[src_node] += 1
+            received[dst_node] += 1
     tile_bytes = tile_size * tile_size * 8
     return CommunicationStats(
         messages=messages,
@@ -167,31 +159,20 @@ def communication_volume(
 
 
 def communication_matrix(
-    graph: GraphLike,
+    graph: Program,
     distribution: BlockCyclicDistribution,
 ) -> List[List[int]]:
     """Message counts per (source node, destination node) pair."""
     n_nodes = distribution.grid.size
-    if isinstance(graph, Program) and type(distribution) is BlockCyclicDistribution:
+    if type(distribution) is BlockCyclicDistribution:
         _, src_nodes, dst_nodes = _cross_edge_pairs(graph, distribution)
         flat = np.bincount(
             src_nodes * n_nodes + dst_nodes, minlength=n_nodes * n_nodes
         )
         return flat.reshape(n_nodes, n_nodes).tolist()
-    owner = [distribution.owner(*tile) for tile in _owner_tiles(graph)]
     matrix = [[0] * n_nodes for _ in range(n_nodes)]
-    seen: set[Tuple[int, int]] = set()
-    for src_id, dsts in _successor_lists(graph):
-        src_node = owner[src_id]
-        for dst_id in dsts:
-            dst_node = owner[dst_id]
-            if dst_node == src_node:
-                continue
-            key = (src_id, dst_node)
-            if key in seen:
-                continue
-            seen.add(key)
-            matrix[src_node][dst_node] += 1
+    for src_node, dst_node in _cross_edge_walk(graph, distribution):
+        matrix[src_node][dst_node] += 1
     return matrix
 
 
@@ -223,7 +204,7 @@ def panel_messages_estimate(grid_rows: int, top: str) -> int:
 
 def engine_communication_check(
     schedule,
-    graph: GraphLike,
+    graph: Program,
     distribution: BlockCyclicDistribution,
     *,
     tile_size: int = 160,
@@ -257,11 +238,11 @@ def engine_communication_check(
 
 
 def communication_ratio(
-    graph_a: GraphLike,
-    graph_b: GraphLike,
+    graph_a: Program,
+    graph_b: Program,
     distribution: BlockCyclicDistribution,
 ) -> float:
-    """Ratio of message counts of two task graphs under the same distribution.
+    """Ratio of message counts of two programs under the same distribution.
 
     Used by the ablation benchmarks to verify the paper's "greedy doubles
     the communications of flat" observation at the DAG level.

@@ -1,6 +1,6 @@
 """Speedup bounds and scaling projections.
 
-Classical work/span bounds applied to the traced task graphs and the
+Classical work/span bounds applied to the compiled programs and the
 simulated schedules:
 
 * ``T_1`` — sequential time (total work at the machine's kernel rates);
@@ -17,15 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.dag.critical_path import critical_path_length
-from repro.dag.task import TaskGraph
+from repro.ir.program import Program
+from repro.runtime.engine import critical_path_seconds, serial_seconds
 from repro.runtime.machine import Machine
 from repro.runtime.scheduler import Schedule
 
 
 @dataclass(frozen=True)
 class SpeedupBounds:
-    """Work/span bounds for one task graph on one machine.
+    """Work/span bounds for one program on one machine.
 
     All times are in seconds at the machine's kernel rates.
     """
@@ -52,20 +52,21 @@ class SpeedupBounds:
 
 
 def speedup_bounds(
-    graph: TaskGraph,
+    program: Program,
     machine: Machine,
     schedule: Optional[Schedule] = None,
 ) -> SpeedupBounds:
-    """Compute :class:`SpeedupBounds` for ``graph`` on ``machine``.
+    """Compute :class:`SpeedupBounds` for ``program`` on ``machine``.
 
-    ``T_1`` and ``T_inf`` use the machine's per-kernel durations (so TS and
-    TT kernels have different rates, unlike the pure Table-I weights used in
-    Section IV).  When a simulated ``schedule`` is given, its makespan is
-    attached for comparison against Brent's bound.
+    ``T_1`` and ``T_inf`` are :func:`~repro.runtime.engine.serial_seconds`
+    and :func:`~repro.runtime.engine.critical_path_seconds`: they use the
+    machine's per-kernel durations (so TS and TT kernels have different
+    rates, unlike the pure Table-I weights used in Section IV).  When a
+    simulated ``schedule`` is given, its makespan is attached for
+    comparison against Brent's bound.
     """
-    durations = {t.id: machine.kernel_duration(t.kernel) for t in graph.tasks}
-    t1 = sum(durations.values())
-    tinf = critical_path_length(graph, weight_fn=lambda task: durations[task.id])
+    t1 = serial_seconds(program, machine)
+    tinf = critical_path_seconds(program, machine)
     cores = machine.total_cores
     brent = t1 / cores + tinf if cores > 0 else float("inf")
     return SpeedupBounds(

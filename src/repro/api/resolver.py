@@ -74,6 +74,9 @@ def default_tile_size(m: int, n: int, config: Optional[Config] = None) -> int:
     return max(1, min(config.tile_size, min(m, n) // 4))
 
 
+_NON_FINITE = "input matrix has NaN or infinite entries"
+
+
 def as_tiled(
     a: ArrayOrTiled,
     tile_size: Optional[int] = None,
@@ -82,13 +85,19 @@ def as_tiled(
     """Coerce a dense array into a :class:`TiledMatrix`.
 
     Already-tiled inputs pass through unchanged; dense inputs are tiled at
-    ``tile_size``, defaulting to :func:`default_tile_size`.
+    ``tile_size``, defaulting to :func:`default_tile_size`.  Either form
+    must hold only finite entries: the reduction has no meaningful result
+    for NaN or infinite input, so it is refused here with a ``ValueError``.
     """
     if isinstance(a, TiledMatrix):
+        if not all(np.isfinite(tile).all() for _, tile in a.tiles()):
+            raise ValueError(_NON_FINITE)
         return a
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a 2-D array")
+    if not np.isfinite(a).all():
+        raise ValueError(_NON_FINITE)
     if tile_size is None:
         tile_size = default_tile_size(a.shape[0], a.shape[1], config)
     return TiledMatrix.from_dense(a, tile_size)

@@ -1,16 +1,8 @@
-"""Task graphs, dependency tracing and critical-path analysis."""
+"""Critical-path, structural analyses and exporters over compiled programs."""
 
-from repro.dag.task import Task, TaskGraph
-from repro.dag.tracer import TraceExecutor, trace_bidiag, trace_rbidiag, trace_qr
 from repro.dag.critical_path import critical_path_length, critical_path_tasks
 
 __all__ = [
-    "Task",
-    "TaskGraph",
-    "TraceExecutor",
-    "trace_bidiag",
-    "trace_rbidiag",
-    "trace_qr",
     "critical_path_length",
     "critical_path_tasks",
 ]

@@ -1,4 +1,4 @@
-"""Structural analysis of task graphs.
+"""Structural analysis of compiled task DAGs (:class:`~repro.ir.program.Program`).
 
 These tools quantify *why* a reduction tree behaves the way it does:
 
@@ -19,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.dag.critical_path import critical_path_length
-from repro.dag.task import TaskGraph
+import numpy as np
+
+from repro.ir.program import Program
 
 
 @dataclass(frozen=True)
 class GraphStats:
-    """Summary statistics of a task graph.
+    """Summary statistics of a program's task DAG.
 
     Attributes
     ----------
@@ -54,79 +55,85 @@ class GraphStats:
     n_sinks: int
 
 
-def graph_stats(graph: TaskGraph) -> GraphStats:
-    """Compute the :class:`GraphStats` of a task graph."""
-    work = float(graph.total_weight())
-    span = critical_path_length(graph)
-    in_deg = [len(graph.predecessors[t.id]) for t in graph.tasks]
-    out_deg = [len(graph.successors[t.id]) for t in graph.tasks]
+def graph_stats(program: Program) -> GraphStats:
+    """Compute the :class:`GraphStats` of a program."""
+    work = float(program.total_weight())
+    span = program.critical_path()
+    in_deg = np.diff(program.pred_indptr_np)
+    out_deg = np.diff(program.succ_indptr_np)
     return GraphStats(
-        n_tasks=len(graph),
-        n_edges=graph.n_edges,
+        n_tasks=len(program),
+        n_edges=program.n_edges,
         work=work,
         span=span,
         average_parallelism=work / span if span > 0 else 0.0,
-        max_in_degree=max(in_deg, default=0),
-        max_out_degree=max(out_deg, default=0),
-        n_sources=len(graph.sources()),
-        n_sinks=len(graph.sinks()),
+        max_in_degree=int(in_deg.max(initial=0)),
+        max_out_degree=int(out_deg.max(initial=0)),
+        n_sources=int(np.count_nonzero(in_deg == 0)),
+        n_sinks=int(np.count_nonzero(out_deg == 0)),
     )
 
 
-def parallelism_profile(graph: TaskGraph, n_bins: int = 50) -> List[Tuple[float, int]]:
+def parallelism_profile(program: Program, n_bins: int = 50) -> List[Tuple[float, int]]:
     """Number of concurrently running tasks over time (ASAP, unbounded cores).
 
     Every task starts as soon as its predecessors finish (weights are the
     Table-I units).  The profile is sampled at ``n_bins`` evenly spaced
     points of the span and returned as ``(time, active_tasks)`` pairs.
     """
-    if len(graph) == 0:
+    n = len(program)
+    if n == 0:
         return []
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    start = [0.0] * len(graph)
-    finish = [0.0] * len(graph)
-    for tid in graph.topological_order():
+    weights = program.weights_np.astype(float).tolist()
+    indptr = program.pred_indptr_np.tolist()
+    pred_ids = program.pred_ids_np.tolist()
+    start = [0.0] * n
+    finish = [0.0] * n
+    for tid in range(n):
         s = 0.0
-        for pred in graph.predecessors[tid]:
+        for pred in pred_ids[indptr[tid]: indptr[tid + 1]]:
             if finish[pred] > s:
                 s = finish[pred]
         start[tid] = s
-        finish[tid] = s + float(graph.tasks[tid].weight)
+        finish[tid] = s + weights[tid]
     span = max(finish)
     if span <= 0:
-        return [(0.0, len(graph))]
+        return [(0.0, n)]
+    start_np = np.array(start)
+    finish_np = np.array(finish)
     profile: List[Tuple[float, int]] = []
     for b in range(n_bins):
         t = span * (b + 0.5) / n_bins
-        active = sum(1 for tid in range(len(graph)) if start[tid] <= t < finish[tid])
+        active = int(np.count_nonzero((start_np <= t) & (t < finish_np)))
         profile.append((t, active))
     return profile
 
 
-def max_parallelism(graph: TaskGraph, n_bins: int = 200) -> int:
+def max_parallelism(program: Program, n_bins: int = 200) -> int:
     """Peak of the :func:`parallelism_profile` (sampled)."""
-    profile = parallelism_profile(graph, n_bins=n_bins)
+    profile = parallelism_profile(program, n_bins=n_bins)
     return max((active for _, active in profile), default=0)
 
 
-def kernel_breakdown(graph: TaskGraph) -> Dict[str, Dict[str, float]]:
+def kernel_breakdown(program: Program) -> Dict[str, Dict[str, float]]:
     """Per-kernel task counts and work shares.
 
     Returns ``{kernel_name: {"count": ..., "work": ..., "work_fraction": ...}}``.
     """
-    total = float(graph.total_weight())
+    total = float(program.total_weight())
     out: Dict[str, Dict[str, float]] = {}
-    for task in graph.tasks:
-        entry = out.setdefault(task.kernel.value, {"count": 0.0, "work": 0.0})
+    for op in program.ops:
+        entry = out.setdefault(op.kernel.value, {"count": 0.0, "work": 0.0})
         entry["count"] += 1
-        entry["work"] += float(task.weight)
+        entry["work"] += float(op.weight)
     for entry in out.values():
         entry["work_fraction"] = entry["work"] / total if total > 0 else 0.0
     return out
 
 
-def ts_tt_work_split(graph: TaskGraph) -> Tuple[float, float]:
+def ts_tt_work_split(program: Program) -> Tuple[float, float]:
     """Fractions of the update work done by TS kernels vs TT kernels.
 
     The paper's AUTO tree exists because TS updates run near GEMM speed
@@ -134,47 +141,34 @@ def ts_tt_work_split(graph: TaskGraph) -> Tuple[float, float]:
     tree routes through the efficient kernels.
     """
     ts = tt = 0.0
-    for task in graph.tasks:
-        name = task.kernel.value
+    for op in program.ops:
+        name = op.kernel.value
         if name in ("TSMQR", "TSMLQ", "TSQRT", "TSLQT"):
-            ts += float(task.weight)
+            ts += float(op.weight)
         elif name in ("TTMQR", "TTMLQ", "TTQRT", "TTLQT"):
-            tt += float(task.weight)
+            tt += float(op.weight)
     total = ts + tt
     if total <= 0:
         return 0.0, 0.0
     return ts / total, tt / total
 
 
-def step_breakdown(graph: TaskGraph) -> Dict[str, float]:
-    """Work per algorithm step (``QR(k)`` / ``LQ(k)``) as labelled by the tracer.
+def step_breakdown(program: Program) -> Dict[str, float]:
+    """Work per algorithm step (``QR(k)`` / ``LQ(k)``) as labelled by the recorder.
 
-    Tasks with an empty ``step`` label are aggregated under ``"(unlabelled)"``.
+    Ops with an empty ``step`` label are aggregated under ``"(unlabelled)"``.
     """
     out: Dict[str, float] = {}
-    for task in graph.tasks:
-        key = task.step or "(unlabelled)"
-        out[key] = out.get(key, 0.0) + float(task.weight)
+    for op in program.ops:
+        key = op.step or "(unlabelled)"
+        out[key] = out.get(key, 0.0) + float(op.weight)
     return out
 
 
-def memory_footprint_tiles(graph: TaskGraph) -> int:
-    """Number of distinct tiles touched by the graph (working-set size in tiles)."""
+def memory_footprint_tiles(program: Program) -> int:
+    """Number of distinct tiles touched by the program (working-set size in tiles)."""
     tiles = set()
-    for task in graph.tasks:
-        for _, i, j in task.touched:
+    for op in program.ops:
+        for _, i, j in op.reads | op.writes:
             tiles.add((i, j))
     return len(tiles)
-
-
-def schedule_utilization(schedule: "object", machine: "object") -> Dict[str, object]:
-    """Busy/idle utilization breakdown of one executed schedule.
-
-    Thin front door to the shared :func:`repro.obs.util.utilization_summary`
-    helper (the same computation backing ``RunResult.metrics`` and the
-    Gantt exporters), so DAG-level analyses and notebooks get per-node and
-    per-core busy fractions without re-deriving them from schedule rows.
-    """
-    from repro.obs.util import utilization_summary
-
-    return utilization_summary(schedule, machine)

@@ -1,6 +1,6 @@
-"""Critical-path computation on task graphs.
+"""Critical-path computation on compiled programs.
 
-The critical path of a task graph is the heaviest chain of dependent tasks,
+The critical path of a task DAG is the heaviest chain of dependent tasks,
 using the Table-I kernel weights (units of ``nb^3 / 3`` flops).  It models
 the execution time with unbounded resources and no communication — exactly
 the quantity analysed in Section IV of the paper.
@@ -8,85 +8,63 @@ the quantity analysed in Section IV of the paper.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, List, Optional
 
-from repro.dag.task import Task, TaskGraph
+from repro.ir.program import Op, Program
 
 
 def critical_path_length(
-    graph: Union[TaskGraph, "Program"],  # noqa: F821 - forward ref, see below
-    weight_fn: Optional[Callable[[Task], float]] = None,
+    program: Program,
+    weight_fn: Optional[Callable[[Op], float]] = None,
 ) -> float:
-    """Length of the critical path of ``graph``.
+    """Length of the critical path of ``program``.
 
-    ``weight_fn`` maps a task to its duration; the default uses the Table-I
-    weight carried by the task (``nb^3 / 3`` flop units), which is what the
+    ``weight_fn`` maps an op to its duration; the default uses the Table-I
+    weight carried by the op (``nb^3 / 3`` flop units), which is what the
     paper's closed-form critical paths are expressed in.
-
-    Accepts a legacy :class:`~repro.dag.task.TaskGraph` (per-node
-    recursion below) or a compiled :class:`~repro.ir.program.Program`
-    (delegated to its vectorized topological level sweep — bit-identical
-    results, no per-task Python loop).
     """
-    if not isinstance(graph, TaskGraph):
-        # A compiled Program: its critical_path() runs the vectorized
-        # forward level sweep (or the per-op loop for a custom weight_fn).
-        return graph.critical_path(weight_fn=weight_fn)
-    if len(graph) == 0:
-        return 0.0
-    if weight_fn is None:
-        weight_fn = lambda task: float(task.weight)  # noqa: E731
-    finish: Dict[int, float] = {}
-    best = 0.0
-    for tid in graph.topological_order():
-        task = graph.tasks[tid]
-        start = 0.0
-        for pred in graph.predecessors[tid]:
-            if finish[pred] > start:
-                start = finish[pred]
-        end = start + weight_fn(task)
-        finish[tid] = end
-        if end > best:
-            best = end
-    return best
+    return program.critical_path(weight_fn=weight_fn)
 
 
 def critical_path_tasks(
-    graph: TaskGraph,
-    weight_fn: Optional[Callable[[Task], float]] = None,
-) -> List[Task]:
-    """The tasks on (one of) the critical path(s), in execution order.
+    program: Program,
+    weight_fn: Optional[Callable[[Op], float]] = None,
+) -> List[Op]:
+    """The ops on (one of) the critical path(s), in execution order.
 
     Useful for understanding *where* the time goes: e.g. for BIDIAG with a
     FLATTS tree the path is dominated by TSMQR chains, while with GREEDY it
-    alternates short TTMQR chains of logarithmic depth.
+    alternates short TTMQR chains of logarithmic depth.  Ties go to the
+    earliest op: the first predecessor reaching the latest finish, and the
+    first op reaching the overall makespan.
     """
-    if len(graph) == 0:
+    n = len(program)
+    if n == 0:
         return []
+    ops = program.ops
     if weight_fn is None:
-        weight_fn = lambda task: float(task.weight)  # noqa: E731
-    finish: Dict[int, float] = {}
-    critical_pred: Dict[int, Optional[int]] = {}
-    best_task = None
-    best = -1.0
-    for tid in graph.topological_order():
-        task = graph.tasks[tid]
-        start = 0.0
-        pred_choice: Optional[int] = None
-        for pred in graph.predecessors[tid]:
+        durations = program.weights_np.astype(float).tolist()
+    else:
+        durations = [weight_fn(op) for op in ops]
+    indptr = program.pred_indptr_np.tolist()
+    pred_ids = program.pred_ids_np.tolist()
+    finish = [0.0] * n
+    critical_pred = [-1] * n
+    best_op, best = -1, -1.0
+    for i in range(n):
+        start, choice = 0.0, -1
+        for pred in pred_ids[indptr[i]: indptr[i + 1]]:
             if finish[pred] > start:
-                start = finish[pred]
-                pred_choice = pred
-        end = start + weight_fn(task)
-        finish[tid] = end
-        critical_pred[tid] = pred_choice
+                start, choice = finish[pred], pred
+        end = start + durations[i]
+        finish[i] = end
+        critical_pred[i] = choice
         if end > best:
-            best = end
-            best_task = tid
-    path: List[Task] = []
-    cursor: Optional[int] = best_task
-    while cursor is not None:
-        path.append(graph.tasks[cursor])
+            best, best_op = end, i
+    path: List[Op] = []
+    cursor = best_op
+    while cursor >= 0:
+        path.append(ops[cursor])
         cursor = critical_pred[cursor]
     path.reverse()
     return path

@@ -10,8 +10,8 @@ scheduling:
 * :class:`Program` — a compact, immutable op stream with a CSR-style
   dependency structure; compiled once per ``(algorithm, p, q, tree,
   n_cores, grid_rows)`` shape and replayed many times;
-* :class:`DependencyAnalyzer` — the reusable superscalar RAW/WAR inference
-  (previously buried in :mod:`repro.dag.tracer`);
+* :func:`analyze_coded_stream` — the superscalar RAW/WAR inference over
+  integer-coded tile halves;
 * :class:`ProgramRecorder` — the :class:`~repro.algorithms.executor.KernelExecutor`
   that captures a driver run into a :class:`Program`;
 * :func:`compile_program` / :func:`get_program` — the compiler front-end and
@@ -23,7 +23,6 @@ scheduling:
 """
 
 from repro.ir.program import (
-    DependencyAnalyzer,
     Op,
     OpColumns,
     Program,
@@ -44,7 +43,6 @@ from repro.ir.interpret import replay
 
 __all__ = [
     "ALGORITHMS",
-    "DependencyAnalyzer",
     "Op",
     "OpColumns",
     "Program",

@@ -86,7 +86,6 @@ def compile_program(
 ) -> Program:
     """Capture one driver run into a fresh :class:`Program` (no caching).
 
-    Parameters mirror the tracing front-ends of :mod:`repro.dag.tracer`:
     ``algorithm`` is ``"qr"``, ``"bidiag"`` or ``"rbidiag"``; ``lq_tree``
     and ``prequr_tree`` default to ``tree`` inside the drivers.
     """
@@ -131,8 +130,8 @@ class ProgramCache:
     """Thread-safe in-process LRU cache of compiled programs.
 
     Programs are immutable, so a cached instance can safely be shared by
-    concurrent consumers; :meth:`Program.to_task_graph` hands out fresh
-    graphs for the few call sites that still mutate one.
+    concurrent consumers; a caller that needs a mutated DAG builds a new
+    ``Program(ops, pred_lists)`` from the cached one's ops.
 
     Eviction is bounded two ways: ``maxsize`` caps the entry count and
     ``max_ops`` caps the *total op count* across entries — program memory
@@ -252,8 +251,8 @@ class ProgramCache:
 
 
 #: The process-wide cache every layer resolves through (the API backends,
-#: the simulator drivers, the tuning objectives and the legacy tracing
-#: front-ends all share it).
+#: the simulator drivers, the tuning objectives and the DAG analyses all
+#: share it).
 PROGRAM_CACHE = ProgramCache()
 
 

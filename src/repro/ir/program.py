@@ -5,24 +5,26 @@ shape: a flat stream of :class:`Op` records (one per tile-kernel call, in
 the sequentially consistent order the driver issued them) plus the
 dependency DAG stored as two CSR arrays (predecessors and successors).
 Programs are immutable and cheap to replay, which is what lets a tuning
-sweep trace each DAG shape once and re-schedule it many times.
+sweep trace each DAG shape once and re-schedule it many times.  It is the
+only task-DAG container of the package: the critical-path analyses, the
+DAG exporters and the runtime engine all read it.
 
-The dependencies are inferred by :class:`DependencyAnalyzer`, the
+The dependencies are inferred by :func:`analyze_coded_stream`, the
 superscalar logic a PaRSEC/StarPU-style runtime applies to its task
-stream (previously buried inside :mod:`repro.dag.tracer`):
+stream:
 
 * a task that *writes* a data item depends on the item's last writer and on
   every reader since that write (RAW + WAR);
 * a task that *reads* a data item depends on its last writer (RAW).
 
-Data items are tile *halves* (upper = factor part, lower = reflector part);
-see :mod:`repro.dag.task` for why this split is needed to reproduce the
-dependency structure — and hence the critical paths — of the paper.
+Data items are tile *halves* (see :data:`DataItem`); the split is needed to
+reproduce the dependency structure — and hence the critical paths — of the
+paper.
 
 Structure-of-arrays fast path
 -----------------------------
 
-Besides the legacy object form (a tuple of :class:`Op` records), a program
+Besides the object form (a tuple of :class:`Op` records), a program
 carries packed *columns*: numpy vectors of kernel codes, Table-I weights,
 owner-tile coordinates and CSR views, plus a cached topological level
 decomposition.  The columns are what the batched task-runtime designs the
@@ -32,9 +34,10 @@ arrays, never per-op Python objects.  Programs recorded through
 :class:`~repro.ir.recorder.ProgramRecorder` are born in column form
 (:meth:`Program.from_columns`) and materialize the ``ops`` tuple lazily —
 compiling a million-op DAG never builds a million ``Op`` objects unless a
-legacy consumer asks for them.  Both forms describe the same program; the
-vectorized analyses are bit-identical to the per-node recursions they
-replace (asserted by the equivalence tests).
+consumer asks for them.  Hand-built or mutated programs use the
+``Program(ops, pred_lists)`` constructor.  Both forms describe the same
+program; the vectorized analyses are bit-identical to the per-node
+recursions they replace (asserted by the equivalence tests).
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from typing import (
 
 import numpy as np
 
-from repro.dag.task import DataItem, Task, TaskGraph
 from repro.kernels.costs import (
     KERNEL_CODES,
     KERNEL_LIST,
@@ -70,14 +72,35 @@ _WEIGHT_BY_CODE = np.array(
 )
 _WEIGHT_BY_CODE.setflags(write=False)
 
+#: A data item is one half of a tile: ("U", i, j) is the upper (R/L factor)
+#: part, ("L", i, j) the lower (reflector) part.  Splitting tiles this way
+#: reproduces PLASMA's dependency structure, where e.g. TSQRT only touches
+#: the R part of the pivot tile while UNMQR only reads its reflectors.
+DataItem = Tuple[str, int, int]
+
 
 @dataclass(frozen=True)
 class Op:
     """One tile-kernel instance in a compiled program.
 
-    The fields mirror :class:`repro.dag.task.Task` (``index`` plays the
-    role of the dense task id) so that programs and legacy task graphs are
-    freely interconvertible.
+    Attributes
+    ----------
+    index:
+        Dense op id (position in the stream).
+    kernel:
+        Which tile kernel this op runs.
+    params:
+        The kernel's tile indices, as passed to the executor.
+    reads, writes:
+        Data items read / written (a data item is half a tile).
+    weight:
+        Critical-path weight in units of ``nb^3 / 3`` flops (Table I).
+    owner_tile:
+        Tile coordinate used by the owner-computes rule to map the op to
+        a node in distributed runs.
+    step:
+        The panel step (``QR(k)`` / ``LQ(k)``) the op belongs to, for
+        reporting purposes.
     """
 
     index: int
@@ -90,60 +113,19 @@ class Op:
     step: str = ""
 
 
-class DependencyAnalyzer:
-    """Superscalar RAW/WAR dependency inference over a stream of accesses.
-
-    Feed it one op at a time (:meth:`add`) and it returns the ids of the
-    ops the new op depends on.  Data items are iterated in sorted order, so
-    the produced edge ordering is independent of ``PYTHONHASHSEED`` — a
-    prerequisite for bit-reproducible schedules.
-
-    This is the object-path analyzer (data items are tuples); the compiler
-    hot path uses :func:`analyze_coded_stream`, the same rules specialized
-    for integer-coded items over dense tables.
-    """
-
-    def __init__(self) -> None:
-        self._last_writer: Dict[DataItem, int] = {}
-        self._readers_since_write: Dict[DataItem, List[int]] = {}
-        self._count = 0
-
-    def add(
-        self, reads: FrozenSet[DataItem], writes: FrozenSet[DataItem]
-    ) -> List[int]:
-        """Register op ``id = current count``; return its predecessor ids."""
-        tid = self._count
-        self._count += 1
-        preds: set[int] = set()
-        for item in sorted(reads | writes):
-            writer = self._last_writer.get(item)
-            if writer is not None:
-                preds.add(writer)
-        for item in sorted(writes):
-            # WAR: wait for every reader since the last write.
-            preds.update(self._readers_since_write.get(item, ()))
-        # Update the bookkeeping *after* all edges are found.
-        for item in sorted(writes):
-            self._last_writer[item] = tid
-            self._readers_since_write[item] = []
-        for item in sorted(reads - writes):
-            self._readers_since_write.setdefault(item, []).append(tid)
-        preds.discard(tid)
-        return sorted(preds)
-
-
 def analyze_coded_stream(
     reads_list: Sequence[Tuple[int, ...]],
     writes_list: Sequence[Tuple[int, ...]],
     n_items: int,
 ) -> Tuple[List[List[int]], List[int]]:
-    """RAW/WAR inference over integer-coded data items (the compiler hot path).
+    """RAW/WAR inference over integer-coded data items.
 
-    Applies exactly the rules of :class:`DependencyAnalyzer` — the produced
-    predecessor *sets* are identical — but items are dense integer codes
-    indexed into flat tables instead of tuples hashed into dicts, which is
-    several times faster on the million-op streams the SoA path targets.
-    Each op's predecessor list is returned unsorted (deterministically:
+    Applies the superscalar rules of the module docstring: every op
+    depends on the last writer of each item it touches and, for each item
+    it writes, on every reader since that write; a write resets the
+    item's reader set.  Items are dense integer codes indexed into flat
+    tables, and predecessors are deduplicated with epoch stamps, so no op
+    depends on itself or twice on the same producer.  Each op's predecessor list is returned unsorted (deterministically:
     integer set iteration does not depend on ``PYTHONHASHSEED``);
     :meth:`Program.from_columns` normalizes edge order with one vectorized
     lexsort instead of one ``sorted()`` per op.  Also returns each op's
@@ -216,7 +198,7 @@ class OpColumns:
     and ``rows``/``cols`` the owner-tile coordinates.  Produced by
     :class:`~repro.ir.recorder.ProgramRecorder`, consumed by
     :meth:`Program.from_columns`; :meth:`op` decodes one column row back
-    into a full :class:`Op` object for the legacy consumers.
+    into a full :class:`Op` object.
     """
 
     __slots__ = (
@@ -305,8 +287,8 @@ def _np_view(a: array) -> np.ndarray:
 class Program:
     """An immutable op stream with CSR dependency structure.
 
-    Build one with :meth:`from_ops` (runs the :class:`DependencyAnalyzer`),
-    :meth:`from_task_graph` (wraps a legacy :class:`~repro.dag.task.TaskGraph`),
+    Build one with ``Program(ops, pred_lists)`` (hand-built or mutated
+    programs: explicit ops and per-op predecessor ids), with
     :meth:`from_columns` (the structure-of-arrays compiler path) or, most
     commonly, through :func:`repro.ir.compiler.compile_program`.
 
@@ -356,33 +338,6 @@ class Program:
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_ops(cls, ops: Iterable[Op], key: Optional[Tuple] = None) -> "Program":
-        """Analyze the access sets of ``ops`` and build the CSR dependency DAG."""
-        ops = tuple(ops)
-        analyzer = DependencyAnalyzer()
-        pred_lists = [analyzer.add(op.reads, op.writes) for op in ops]
-        return cls(ops, pred_lists, key=key)
-
-    @classmethod
-    def from_task_graph(cls, graph: TaskGraph) -> "Program":
-        """Wrap an explicit legacy task graph (keeps its exact edge set)."""
-        ops = [
-            Op(
-                index=t.id,
-                kernel=t.kernel,
-                params=t.params,
-                reads=t.reads,
-                writes=t.writes,
-                weight=t.weight,
-                owner_tile=t.owner_tile,
-                step=t.step,
-            )
-            for t in graph.tasks
-        ]
-        pred_lists = [sorted(graph.predecessors[t.id]) for t in graph.tasks]
-        return cls(ops, pred_lists)
-
     @classmethod
     def from_columns(
         cls,
@@ -808,8 +763,7 @@ class Program:
         """Length of the heaviest dependent chain.
 
         The default weighs ops by their Table-I weight (``nb^3 / 3`` flop
-        units), matching :func:`repro.dag.critical_path.critical_path_length`,
-        and runs the vectorized level sweep; an explicit ``weight_fn``
+        units) and runs the vectorized level sweep; an explicit ``weight_fn``
         falls back to the per-op loop (it needs the ``Op`` objects).
         """
         if len(self) == 0:
@@ -842,33 +796,6 @@ class Program:
                     succ_best = levels[s]
             levels[i] = durations[i] + succ_best
         return levels
-
-    # ------------------------------------------------------------------ #
-    # Interop
-    # ------------------------------------------------------------------ #
-    def to_task_graph(self) -> TaskGraph:
-        """Materialize a fresh legacy :class:`~repro.dag.task.TaskGraph`.
-
-        Each call builds a new graph, so callers may mutate the result
-        without corrupting a cached program.
-        """
-        graph = TaskGraph()
-        for op in self.ops:
-            graph.add_task(
-                Task(
-                    id=op.index,
-                    kernel=op.kernel,
-                    params=op.params,
-                    reads=op.reads,
-                    writes=op.writes,
-                    weight=op.weight,
-                    owner_tile=op.owner_tile,
-                    step=op.step,
-                )
-            )
-        for src, dst in self.edges():
-            graph.add_edge(src, dst)
-        return graph
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Program(n_ops={len(self)}, n_edges={self.n_edges}, key={self.key!r})"

@@ -2,9 +2,9 @@
 
 Per-node and per-core busy/idle accounting used to be re-derived ad hoc
 wherever it was needed — :meth:`repro.runtime.scheduler.Schedule.
-node_utilization`, the trace tooling of :mod:`repro.runtime.trace`, the
-benchmarks.  This module is the single implementation all of them (plus
-the metrics registry and the Gantt exporters) now share.
+node_utilization`, the benchmarks.  This module is the single
+implementation all of them (plus the metrics registry and the Gantt
+exporters) now share.
 
 Everything is duck-typed over the ``Schedule`` record (``makespan``,
 ``busy_time_per_node``, ``start`` / ``finish`` / ``node_of_task`` /

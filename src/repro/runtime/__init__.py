@@ -35,7 +35,7 @@ from repro.runtime.policies import (
     available_policies,
     get_policy,
 )
-from repro.runtime.scheduler import ListScheduler, Schedule
+from repro.runtime.scheduler import Schedule
 from repro.runtime.batch import (
     BatchCandidate,
     BatchEngine,
@@ -44,7 +44,6 @@ from repro.runtime.batch import (
 )
 from repro.runtime.simulator import (
     SimulationResult,
-    simulate_graph,
     simulate_ge2bnd,
     simulate_ge2val,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "LinkJitterNoise",
     "Machine",
     "MakespanDistribution",
-    "ListScheduler",
     "NETWORK_MODELS",
     "NOISE_MODELS",
     "NetworkModel",
@@ -114,7 +112,6 @@ __all__ = [
     "run_scenario",
     "serial_seconds",
     "simulate_batch",
-    "simulate_graph",
     "simulate_ge2bnd",
     "simulate_ge2val",
     "simulate_resolved_batch",

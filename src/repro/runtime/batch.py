@@ -51,7 +51,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.dag.task import TaskGraph
 from repro.ir.program import Program
 from repro.models.flops import ge2bnd_reported_flops, ge2val_reported_flops
 from repro.obs.metrics import REGISTRY
@@ -268,12 +267,10 @@ class BatchEngine:
 
     def prepare(
         self,
-        program: Union[Program, TaskGraph],
+        program: Program,
         candidates: Sequence[BatchCandidate],
     ) -> _PreparedBatch:
         """Hoist all shared state for ``candidates`` (no event loop yet)."""
-        if isinstance(program, TaskGraph):
-            program = Program.from_task_graph(program)
         REGISTRY.inc("engine.memo.batch.candidates", len(candidates))
         prepared = _PreparedBatch(program, dedup=self.dedup)
         for candidate in candidates:
@@ -282,7 +279,7 @@ class BatchEngine:
 
     def run_batch(
         self,
-        program: Union[Program, TaskGraph],
+        program: Program,
         candidates: Sequence[BatchCandidate],
     ) -> List[Schedule]:
         """Simulate every candidate.
@@ -299,7 +296,7 @@ class BatchEngine:
 
     def lower_bounds(
         self,
-        program: Union[Program, TaskGraph],
+        program: Program,
         candidates: Sequence[BatchCandidate],
     ) -> List[float]:
         """Per-candidate makespan lower bounds (seconds), no event loop."""
@@ -307,7 +304,7 @@ class BatchEngine:
 
 
 def simulate_batch(
-    program: Union[Program, TaskGraph],
+    program: Program,
     candidates: Sequence[BatchCandidate],
     *,
     dedup: bool = True,

@@ -12,15 +12,14 @@ Python hash seeds.
 Available policies (see :data:`POLICIES`):
 
 =============== ==============================================================
-``list``        duration-weighted bottom levels — the legacy
-                :class:`~repro.runtime.scheduler.ListScheduler` behaviour,
-                reproduced exactly
+``list``        duration-weighted bottom levels — the greedy list
+                scheduler of the paper's PaRSEC runs (the default)
 ``critical-path`` bottom levels in Table-I weight units (``nb^3/3`` flops),
                 i.e. priorities from the paper's critical-path analysis
 ``locality``    block-cyclic-aware: prefer ops with the fewest off-node
                 producers (cheapest to start under owner-computes), bottom
                 level breaking ties
-``fifo``        program order (the tracer's sequentially consistent order)
+``fifo``        program order (the recorder's sequentially consistent order)
 ``weight``      heaviest kernel first
 ``random``      seeded uniform-random priorities — the chaos baseline that
                 shows how much the smarter orders actually buy
@@ -110,12 +109,12 @@ class SchedulingPolicy:
 
 
 class ListPolicy(SchedulingPolicy):
-    """Duration-weighted bottom levels: the legacy list scheduler, exactly."""
+    """Duration-weighted bottom levels: greedy list scheduling (the default)."""
 
     name = "list"
     description = (
         "greedy list scheduling by bottom level (longest downstream path in "
-        "simulated seconds); reproduces the legacy ListScheduler bit for bit"
+        "simulated seconds); the default policy"
     )
 
     @property

@@ -1,25 +1,18 @@
-"""Schedule container and the legacy list-scheduler front-end.
+"""The :class:`Schedule` result record of one simulated replay.
 
-The scheduling loop that used to live here has moved into the
-engine/policy/network split of :mod:`repro.runtime.engine`,
-:mod:`repro.runtime.policies` and :mod:`repro.runtime.network`: the
-event-driven :class:`~repro.runtime.engine.SimulationEngine` owns core
-events and dependency release, a pluggable
-:class:`~repro.runtime.policies.SchedulingPolicy` ranks the ready queue,
-and a :class:`~repro.runtime.network.NetworkModel` prices cross-node
-transfers (legacy ``uniform`` flat cost, or message-level ``alpha-beta``
-with NIC occupancy).  This module keeps the two pieces every call site
-still needs:
+The scheduling loop lives in the engine/policy/network split of
+:mod:`repro.runtime.engine`, :mod:`repro.runtime.policies` and
+:mod:`repro.runtime.network`: the
+:class:`~repro.runtime.engine.SimulationEngine` prepares every per-op
+quantity and hands it to the one event loop of :mod:`repro.runtime.kernel`,
+a pluggable :class:`~repro.runtime.policies.SchedulingPolicy` ranks the
+ready queue, and a :class:`~repro.runtime.network.NetworkModel` prices
+cross-node transfers (``uniform`` flat cost, or message-level
+``alpha-beta`` with NIC occupancy).  Every replay — single, batched or
+Monte-Carlo — returns a :class:`Schedule` (makespan, per-task times, node
+mapping, communication statistics).
 
-* :class:`Schedule` — the result record (makespan, per-task times, node
-  mapping, communication statistics);
-* :class:`ListScheduler` — the backward-compatible front-end, now a thin
-  shell that maps its ``priority`` argument onto the corresponding policy
-  (``bottom-level`` → ``list``, ``fifo`` → ``fifo``, ``weight`` →
-  ``weight``) and delegates to the engine.  With the default priority it
-  reproduces the original greedy bottom-level list scheduler bit for bit.
-
-The behaviour still mimics the PaRSEC runtime the paper relies on:
+The behaviour mimics the PaRSEC runtime the paper relies on:
 owner-computes task mapping over a 2D block-cyclic distribution, greedy
 priority-driven scheduling, and one deduplicated tile transfer per
 (producer, destination node) pair — however the network model prices it.
@@ -30,14 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.dag.task import TaskGraph
 from repro.runtime.machine import Machine
-from repro.tiles.distribution import BlockCyclicDistribution
 
 
 @dataclass
 class Schedule:
-    """Result of scheduling a task graph / program.
+    """Result of scheduling a program.
 
     Attributes
     ----------
@@ -61,8 +52,8 @@ class Schedule:
     messages: int
     comm_bytes: int
     #: Core index (within its node) each task ran on; filled by the
-    #: simulation engine and used by the Gantt-chart / utilization tooling
-    #: in :mod:`repro.runtime.trace`.  ``None`` for schedules built by hand.
+    #: simulation engine and used by the utilization helpers of
+    #: :mod:`repro.obs.util`.  ``None`` for schedules built by hand.
     core_of_task: Optional[List[int]] = None
     #: Seconds each node spent sending (NIC injection time under the
     #: alpha-beta network model; ``sent * transfer_time`` under uniform).
@@ -88,53 +79,3 @@ class Schedule:
         return node_busy_fractions(
             self.busy_time_per_node, self.makespan, machine.cores_per_node
         )
-
-
-class ListScheduler:
-    """Greedy list scheduler with owner-computes mapping (legacy front-end).
-
-    Parameters
-    ----------
-    machine:
-        The machine model (node count, cores, kernel durations, network).
-    distribution:
-        Tile-to-node mapping; defaults to a 2D block-cyclic distribution on
-        the near-square process grid for the machine's node count.
-    priority:
-        Legacy priority name; mapped onto the engine policies
-        (see :data:`repro.runtime.policies.POLICIES`).
-    """
-
-    #: Recognised priority policies (see ``priority`` constructor argument).
-    PRIORITIES = ("bottom-level", "fifo", "weight")
-
-    #: Legacy priority name -> engine policy name.
-    _POLICY_OF_PRIORITY = {
-        "bottom-level": "list",
-        "fifo": "fifo",
-        "weight": "weight",
-    }
-
-    def __init__(
-        self,
-        machine: Machine,
-        distribution: Optional[BlockCyclicDistribution] = None,
-        *,
-        priority: str = "bottom-level",
-    ) -> None:
-        from repro.runtime.engine import SimulationEngine
-
-        if priority not in self.PRIORITIES:
-            raise ValueError(
-                f"unknown priority policy {priority!r}; available: {self.PRIORITIES}"
-            )
-        self.machine = machine
-        self.priority_policy = priority
-        self._engine = SimulationEngine(
-            machine, distribution, policy=self._POLICY_OF_PRIORITY[priority]
-        )
-        self.distribution = self._engine.distribution
-
-    def run(self, graph: TaskGraph) -> Schedule:
-        """Simulate the execution of ``graph`` and return the schedule."""
-        return self._engine.run(graph)

@@ -4,7 +4,6 @@
 :class:`~repro.ir.program.Program` against the per-kernel read/write-set
 semantics of :mod:`repro.verify.semantics` — a second, independent
 statement of the tile-half access rules, sharing no code with
-:class:`~repro.ir.program.DependencyAnalyzer` or
 :func:`~repro.ir.program.analyze_coded_stream` — and recomputes the full
 superscalar RAW/WAR edge set from scratch.  It then diffs that oracle
 against the Program's stored CSR structure and reports:
@@ -38,8 +37,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.dag.task import DataItem
-from repro.ir.program import Program
+from repro.ir.program import DataItem, Program
 from repro.verify.findings import (
     P_ACCESS_SET,
     P_LEVELS,

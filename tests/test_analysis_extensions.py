@@ -21,9 +21,9 @@ from repro.analysis.speedup import (
     strong_scaling_efficiency,
     weak_scaling_efficiency,
 )
-from repro.dag.tracer import trace_bidiag, trace_qr
+from repro.ir import get_program
 from repro.runtime.machine import Machine
-from repro.runtime.scheduler import ListScheduler
+from repro.runtime.engine import run_policy
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.trees import FlatTTTree, GreedyTree, HierarchicalTree
 
@@ -32,27 +32,27 @@ class TestCommunication:
     dist = BlockCyclicDistribution(ProcessGrid(2, 2))
 
     def test_single_node_has_no_messages(self):
-        graph = trace_qr(4, 3, GreedyTree())
+        graph = get_program("qr", 4, 3, GreedyTree())
         stats = communication_volume(graph, BlockCyclicDistribution(ProcessGrid(1, 1)))
         assert stats.messages == 0
         assert stats.bytes_moved == 0
 
     def test_messages_match_simulator_accounting(self):
-        graph = trace_bidiag(6, 4, GreedyTree(), grid_rows=2)
+        graph = get_program("bidiag", 6, 4, GreedyTree(), grid_rows=2)
         machine = Machine(n_nodes=4, cores_per_node=2, tile_size=100)
-        schedule = ListScheduler(machine, self.dist).run(graph)
+        schedule = run_policy(graph, machine, distribution=self.dist)
         stats = communication_volume(graph, self.dist, tile_size=100)
         assert stats.messages == schedule.messages
         assert stats.bytes_moved == schedule.comm_bytes
 
     def test_sent_received_totals_agree(self):
-        graph = trace_bidiag(6, 4, GreedyTree(), grid_rows=2)
+        graph = get_program("bidiag", 6, 4, GreedyTree(), grid_rows=2)
         stats = communication_volume(graph, self.dist)
         assert sum(stats.per_node_sent) == stats.messages
         assert sum(stats.per_node_received) == stats.messages
 
     def test_matrix_diagonal_is_zero(self):
-        graph = trace_bidiag(6, 4, GreedyTree(), grid_rows=2)
+        graph = get_program("bidiag", 6, 4, GreedyTree(), grid_rows=2)
         matrix = communication_matrix(graph, self.dist)
         assert all(matrix[i][i] == 0 for i in range(4))
         assert sum(sum(row) for row in matrix) == communication_volume(graph, self.dist).messages
@@ -61,8 +61,8 @@ class TestCommunication:
         dist = BlockCyclicDistribution(ProcessGrid(4, 1))
         flat = HierarchicalTree(local_tree=GreedyTree(), top="flat", grid_rows=4)
         greedy = HierarchicalTree(local_tree=GreedyTree(), top="greedy", grid_rows=4)
-        g_flat = trace_bidiag(8, 6, flat, grid_rows=4)
-        g_greedy = trace_bidiag(8, 6, greedy, grid_rows=4)
+        g_flat = get_program("bidiag", 8, 6, flat, grid_rows=4)
+        g_greedy = get_program("bidiag", 8, 6, greedy, grid_rows=4)
         ratio = communication_ratio(g_greedy, g_flat, dist)
         assert ratio >= 1.0
 
@@ -117,8 +117,8 @@ class TestSpeedup:
     machine = Machine(n_nodes=1, cores_per_node=8, tile_size=100)
 
     def test_bounds_ordering(self):
-        graph = trace_bidiag(8, 6, GreedyTree())
-        schedule = ListScheduler(self.machine).run(graph)
+        graph = get_program("bidiag", 8, 6, GreedyTree())
+        schedule = run_policy(graph, self.machine)
         bounds = speedup_bounds(graph, self.machine, schedule)
         assert bounds.tinf_seconds <= bounds.t1_seconds
         assert bounds.brent_bound_seconds <= bounds.t1_seconds + bounds.tinf_seconds
@@ -128,8 +128,8 @@ class TestSpeedup:
         assert bounds.brent_gap <= 1.0 + 1e-9
 
     def test_flattt_span_longer_than_greedy(self):
-        greedy = speedup_bounds(trace_bidiag(10, 6, GreedyTree()), self.machine)
-        flattt = speedup_bounds(trace_bidiag(10, 6, FlatTTTree()), self.machine)
+        greedy = speedup_bounds(get_program("bidiag", 10, 6, GreedyTree()), self.machine)
+        flattt = speedup_bounds(get_program("bidiag", 10, 6, FlatTTTree()), self.machine)
         assert greedy.tinf_seconds < flattt.tinf_seconds
 
     def test_amdahl_bound(self):

@@ -98,12 +98,12 @@ class TestPlanBackedLegacyCommands:
 
     def test_critical_path_matches_direct_trace(self, capsys):
         from repro.dag.critical_path import critical_path_length
-        from repro.dag.tracer import trace_bidiag
+        from repro.ir import get_program
         from repro.trees import GreedyTree
 
         assert main(["critical-path", "8", "4", "--tree", "greedy"]) == 0
         out = capsys.readouterr().out
-        expected = critical_path_length(trace_bidiag(8, 4, GreedyTree()))
+        expected = critical_path_length(get_program("bidiag", 8, 4, GreedyTree()))
         measured = [l for l in out.splitlines() if l.startswith("measured")][0]
         assert float(measured.split(":")[1]) == pytest.approx(expected)
 

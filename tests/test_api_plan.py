@@ -207,3 +207,42 @@ class TestAsTiled:
         assert as_tiled(a).nb == 6
         assert as_tiled(a, config=Config(tile_size=2)).nb == 2
         assert as_tiled(a, 8).nb == 8
+
+
+def _with_entry(value):
+    a = np.random.default_rng(7).standard_normal((32, 32))
+    a[5, 11] = value
+    return a
+
+
+NON_FINITE = pytest.mark.parametrize(
+    "value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"]
+)
+
+
+class TestNonFiniteInput:
+    """NaN/inf input is refused up front with a ValueError, before any
+    tile kernel runs."""
+
+    @NON_FINITE
+    def test_as_tiled_rejects_dense_and_tiled(self, value):
+        a = _with_entry(value)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            as_tiled(a, 8)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            as_tiled(TiledMatrix.from_dense(a, 8))
+
+    @NON_FINITE
+    @pytest.mark.parametrize("tiled", [False, True], ids=["dense", "tiled"])
+    def test_drivers_and_execute_raise_value_error(self, value, tiled):
+        from repro import execute, ge2val, gesvd
+
+        a = _with_entry(value)
+        matrix = TiledMatrix.from_dense(a, 8) if tiled else a
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            ge2val(matrix, tile_size=None if tiled else 8)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            gesvd(matrix, tile_size=None if tiled else 8)
+        plan = SvdPlan(matrix=matrix, stage="ge2val", tile_size=8)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            execute(plan, backend="numeric")

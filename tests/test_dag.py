@@ -1,18 +1,17 @@
-"""Tests for the task graph, the tracer and the critical-path engine."""
+"""Tests for hand-built programs, the recorder and the critical-path engine."""
 
 import numpy as np
 import pytest
 
 from repro.dag.critical_path import critical_path_length, critical_path_tasks
-from repro.dag.task import Task, TaskGraph
-from repro.dag.tracer import TraceExecutor, trace_bidiag, trace_qr, trace_rbidiag
+from repro.ir import Op, Program, ProgramRecorder, get_program
 from repro.kernels.costs import KernelName
 from repro.trees import FlatTSTree, FlatTTTree, GreedyTree
 
 
-def _mk_task(tid, weight=1, kernel=KernelName.GEQRT):
-    return Task(
-        id=tid,
+def _mk_op(tid, weight=1, kernel=KernelName.GEQRT):
+    return Op(
+        index=tid,
         kernel=kernel,
         params=(tid,),
         reads=frozenset(),
@@ -22,101 +21,79 @@ def _mk_task(tid, weight=1, kernel=KernelName.GEQRT):
     )
 
 
-class TestTaskGraph:
-    def test_add_task_and_edges(self):
-        g = TaskGraph()
-        g.add_task(_mk_task(0))
-        g.add_task(_mk_task(1))
-        g.add_edge(0, 1)
-        assert g.successors[0] == [1]
-        assert g.predecessors[1] == [0]
+def _program(weights, pred_lists):
+    return Program([_mk_op(i, w) for i, w in enumerate(weights)], pred_lists)
+
+
+class TestHandBuiltProgram:
+    def test_edges_in_both_csr_directions(self):
+        g = _program([1, 1], [[], [0]])
+        assert list(g.successors(0)) == [1]
+        assert list(g.predecessors(1)) == [0]
         assert g.n_edges == 1
 
-    def test_duplicate_edge_ignored(self):
-        g = TaskGraph()
-        g.add_task(_mk_task(0))
-        g.add_task(_mk_task(1))
-        g.add_edge(0, 1)
-        g.add_edge(0, 1)
-        assert g.n_edges == 1
+    def test_backward_edge_rejected(self):
+        with pytest.raises(ValueError, match="insertion-order topology"):
+            _program([1, 1], [[1], []])
 
-    def test_self_loop_ignored(self):
-        g = TaskGraph()
-        g.add_task(_mk_task(0))
-        g.add_edge(0, 0)
-        assert g.n_edges == 0
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="insertion-order topology"):
+            _program([1], [[0]])
 
-    def test_non_dense_id_rejected(self):
-        g = TaskGraph()
-        with pytest.raises(ValueError):
-            g.add_task(_mk_task(3))
+    def test_pred_list_count_must_match(self):
+        with pytest.raises(ValueError, match="predecessor lists"):
+            _program([1, 1], [[]])
 
-    def test_sources_and_sinks(self):
-        g = TaskGraph()
-        for i in range(3):
-            g.add_task(_mk_task(i))
-        g.add_edge(0, 1)
-        g.add_edge(1, 2)
+    def test_sources(self):
+        g = _program([1, 1, 1], [[], [0], [1]])
         assert g.sources() == [0]
-        assert g.sinks() == [2]
 
-    def test_total_weight_and_flops(self):
-        g = TaskGraph()
-        g.add_task(_mk_task(0, weight=4))
-        g.add_task(_mk_task(1, weight=6))
+    def test_total_weight(self):
+        g = _program([4, 6], [[], []])
         assert g.total_weight() == 10
-        assert g.total_flops(3) == pytest.approx(10 * 27 / 3)
 
 
 class TestCriticalPathEngine:
     def test_chain(self):
-        g = TaskGraph()
-        for i in range(4):
-            g.add_task(_mk_task(i, weight=2))
-        for i in range(3):
-            g.add_edge(i, i + 1)
+        g = _program([2, 2, 2, 2], [[], [0], [1], [2]])
         assert critical_path_length(g) == 8
 
     def test_diamond(self):
-        g = TaskGraph()
-        weights = [1, 5, 2, 1]
-        for i, w in enumerate(weights):
-            g.add_task(_mk_task(i, weight=w))
-        g.add_edge(0, 1)
-        g.add_edge(0, 2)
-        g.add_edge(1, 3)
-        g.add_edge(2, 3)
+        g = _program([1, 5, 2, 1], [[], [0], [0], [1, 2]])
         assert critical_path_length(g) == 7
         path = critical_path_tasks(g)
-        assert [t.id for t in path] == [0, 1, 3]
+        assert [op.index for op in path] == [0, 1, 3]
 
-    def test_empty_graph(self):
-        assert critical_path_length(TaskGraph()) == 0.0
-        assert critical_path_tasks(TaskGraph()) == []
+    def test_empty_program(self):
+        assert critical_path_length(Program([], [])) == 0.0
+        assert critical_path_tasks(Program([], [])) == []
+
+    def test_ties_go_to_the_earliest_op(self):
+        g = _program([1, 2, 2, 1], [[], [0], [0], [1, 2]])
+        assert [op.index for op in critical_path_tasks(g)] == [0, 1, 3]
 
     def test_custom_weight_function(self):
-        g = TaskGraph()
-        g.add_task(_mk_task(0, weight=4))
-        g.add_task(_mk_task(1, weight=4))
-        g.add_edge(0, 1)
-        assert critical_path_length(g, weight_fn=lambda t: 1.0) == 2.0
+        g = _program([4, 4], [[], [0]])
+        assert critical_path_length(g, weight_fn=lambda op: 1.0) == 2.0
+        path = critical_path_tasks(g, weight_fn=lambda op: 1.0)
+        assert [op.index for op in path] == [0, 1]
 
 
-class TestTracer:
+class TestRecorder:
     def test_shape_properties(self):
-        tracer = TraceExecutor(5, 3)
-        assert tracer.p == 5
-        assert tracer.q == 3
+        recorder = ProgramRecorder(5, 3)
+        assert recorder.p == 5
+        assert recorder.q == 3
 
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
-            TraceExecutor(0, 3)
+            ProgramRecorder(0, 3)
 
     def test_qr_task_count_flatts(self):
         # FlatTS QR of a p x q tile matrix: per step k (0-based, u = p-k,
         # v = q-k-1): 1 GEQRT + v UNMQR + (u-1) TSQRT + (u-1)*v TSMQR.
         p, q = 5, 3
-        g = trace_qr(p, q, FlatTSTree())
+        g = get_program("qr", p, q, FlatTSTree())
         expected = 0
         for k in range(q):
             u, v = p - k, q - k - 1
@@ -124,7 +101,7 @@ class TestTracer:
         assert len(g) == expected
 
     def test_bidiag_kernel_mix(self):
-        g = trace_bidiag(4, 4, FlatTSTree())
+        g = get_program("bidiag", 4, 4, FlatTSTree())
         counts = g.kernel_counts()
         assert counts[KernelName.GEQRT] == 4          # one per QR step
         assert counts[KernelName.GELQT] == 3          # one per LQ step
@@ -132,35 +109,33 @@ class TestTracer:
         assert counts[KernelName.TSQRT] == 3 + 2 + 1  # rows below diagonal
 
     def test_greedy_uses_tt_kernels_only(self):
-        g = trace_bidiag(6, 3, GreedyTree())
+        g = get_program("bidiag", 6, 3, GreedyTree())
         counts = g.kernel_counts()
         assert KernelName.TSQRT not in counts
         assert KernelName.TSMQR not in counts
         assert counts[KernelName.TTQRT] > 0
 
     def test_insertion_order_is_topological(self):
-        g = trace_bidiag(6, 4, GreedyTree())
-        # raises if any edge goes backwards
-        order = g.topological_order()
-        assert order == sorted(order)
+        g = get_program("bidiag", 6, 4, GreedyTree())
+        assert all(src < dst for src, dst in g.edges())
 
     def test_flattt_same_work_shorter_span_than_flatts(self):
         # FlatTS and FlatTT perform exactly the same number of flops
         # (a TS elimination costs 6+12v, a TT elimination 4+6v+2+6v = 6+12v),
         # but FlatTT's critical path is shorter: a pure work/span trade-off.
-        g_ts = trace_bidiag(6, 4, FlatTSTree())
-        g_tt = trace_bidiag(6, 4, FlatTTTree())
+        g_ts = get_program("bidiag", 6, 4, FlatTSTree())
+        g_tt = get_program("bidiag", 6, 4, FlatTTTree())
         assert g_tt.total_weight() == g_ts.total_weight()
         assert critical_path_length(g_tt) < critical_path_length(g_ts)
 
     def test_rbidiag_has_more_tasks_than_bidiag_for_square(self):
         # For square matrices R-BIDIAG repeats work (QR then square BIDIAG).
-        g_b = trace_bidiag(6, 6, GreedyTree())
-        g_r = trace_rbidiag(6, 6, GreedyTree())
+        g_b = get_program("bidiag", 6, 6, GreedyTree())
+        g_r = get_program("rbidiag", 6, 6, GreedyTree())
         assert len(g_r) > len(g_b)
 
     def test_tracer_and_numeric_executor_same_operation_count(self, rng):
-        """The numeric and trace executors see exactly the same kernel calls."""
+        """The numeric executor and the recorder see exactly the same kernel calls."""
         from repro.algorithms.bidiag import bidiag_ge2bnd
         from repro.algorithms.executor import MultiExecutor, NumericExecutor
         from repro.tiles.matrix import TiledMatrix
@@ -168,11 +143,11 @@ class TestTracer:
         a = rng.standard_normal((20, 12))
         mat = TiledMatrix.from_dense(a, 4)
         numeric = NumericExecutor(mat)
-        tracer = TraceExecutor(mat.p, mat.q)
-        bidiag_ge2bnd(MultiExecutor([numeric, tracer]), GreedyTree())
-        # The trace matches a standalone trace of the same configuration.
-        standalone = trace_bidiag(mat.p, mat.q, GreedyTree())
-        assert len(tracer.graph) == len(standalone)
+        recorder = ProgramRecorder(mat.p, mat.q)
+        bidiag_ge2bnd(MultiExecutor([numeric, recorder]), GreedyTree())
+        # The recording matches a standalone compile of the same configuration.
+        standalone = get_program("bidiag", mat.p, mat.q, GreedyTree())
+        assert len(recorder) == len(standalone)
         # And the numeric result is still correct.
         ref = np.linalg.svd(a, compute_uv=False)
         got = np.linalg.svd(mat.to_dense(), compute_uv=False)
@@ -190,4 +165,28 @@ class TestMultiExecutorValidation:
         from repro.algorithms.executor import MultiExecutor
 
         with pytest.raises(ValueError):
-            MultiExecutor([TraceExecutor(2, 2), TraceExecutor(3, 2)])
+            MultiExecutor([ProgramRecorder(2, 2), ProgramRecorder(3, 2)])
+
+
+class TestStructuralAnalyses:
+    """graph_stats and the ASAP profile on a hand-built diamond."""
+
+    def _diamond(self):
+        return _program([1, 5, 2, 1], [[], [0], [0], [1, 2]])
+
+    def test_graph_stats(self):
+        from repro.dag.analysis import graph_stats
+
+        stats = graph_stats(self._diamond())
+        assert (stats.n_tasks, stats.n_edges) == (4, 4)
+        assert (stats.work, stats.span) == (9.0, 7.0)
+        assert (stats.max_in_degree, stats.max_out_degree) == (2, 2)
+        assert (stats.n_sources, stats.n_sinks) == (1, 1)
+
+    def test_parallelism_profile(self):
+        from repro.dag.analysis import parallelism_profile
+
+        # ASAP starts 0, 1, 1, 6 and finishes 1, 6, 3, 7.
+        profile = parallelism_profile(self._diamond(), n_bins=7)
+        assert [t for t, _ in profile] == [b + 0.5 for b in range(7)]
+        assert [active for _, active in profile] == [1, 2, 2, 1, 1, 1, 1]

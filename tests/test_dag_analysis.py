@@ -1,4 +1,4 @@
-"""Tests for task-graph analysis and export tools."""
+"""Tests for the program analysis and export tools."""
 
 import json
 
@@ -15,18 +15,18 @@ from repro.dag.analysis import (
     ts_tt_work_split,
 )
 from repro.dag.export import save_dot, save_json, to_dot, to_json
-from repro.dag.tracer import trace_bidiag, trace_qr
+from repro.ir import get_program
 from repro.trees import FlatTSTree, FlatTTTree, GreedyTree
 
 
 @pytest.fixture(scope="module")
 def greedy_graph():
-    return trace_bidiag(8, 6, GreedyTree())
+    return get_program("bidiag", 8, 6, GreedyTree())
 
 
 @pytest.fixture(scope="module")
 def flatts_graph():
-    return trace_bidiag(8, 6, FlatTSTree())
+    return get_program("bidiag", 8, 6, FlatTSTree())
 
 
 class TestGraphStats:
@@ -73,9 +73,9 @@ class TestParallelismProfile:
         assert max_parallelism(greedy_graph) >= max_parallelism(flatts_graph)
 
     def test_empty_graph(self):
-        from repro.dag.task import TaskGraph
+        from repro.ir import Program
 
-        assert parallelism_profile(TaskGraph()) == []
+        assert parallelism_profile(Program([], [])) == []
 
     def test_invalid_bins(self, greedy_graph):
         with pytest.raises(ValueError):
@@ -107,7 +107,7 @@ class TestBreakdowns:
 
 class TestExport:
     def test_dot_contains_all_tasks(self):
-        graph = trace_qr(3, 2, GreedyTree())
+        graph = get_program("qr", 3, 2, GreedyTree())
         dot = to_dot(graph)
         assert dot.startswith("digraph")
         assert dot.count(" [label=") == len(graph)
@@ -119,7 +119,7 @@ class TestExport:
         assert to_dot(flatts_graph, max_tasks=None)
 
     def test_json_roundtrip_structure(self):
-        graph = trace_qr(4, 3, FlatTTTree())
+        graph = get_program("qr", 4, 3, FlatTTTree())
         payload = json.loads(to_json(graph))
         assert payload["n_tasks"] == len(graph)
         assert payload["n_edges"] == graph.n_edges
@@ -128,8 +128,13 @@ class TestExport:
         kernels = {t["kernel"] for t in payload["tasks"]}
         assert "GEQRT" in kernels
 
+    def test_json_edges_are_the_csr_in_source_order(self):
+        graph = get_program("qr", 4, 3, FlatTTTree())
+        edges = [tuple(e) for e in json.loads(to_json(graph))["edges"]]
+        assert edges == sorted(graph.edges())
+
     def test_save_helpers(self, tmp_path):
-        graph = trace_qr(3, 3, GreedyTree())
+        graph = get_program("qr", 3, 3, GreedyTree())
         dot_path = tmp_path / "g.dot"
         json_path = tmp_path / "g.json"
         save_dot(graph, str(dot_path))

@@ -2,10 +2,8 @@
 
 Pins the contract of the tentpole refactor:
 
-* with the ``list`` policy the engine reproduces the legacy
-  :class:`~repro.runtime.scheduler.ListScheduler` *exactly* (golden pins
-  included, so a regression in either layer is caught against absolute
-  numbers, not just mutual agreement);
+* the ``list`` policy's makespans are pinned to absolute numbers (the
+  full schedules are pinned by ``tests/test_golden_schedules.py``);
 * every policy's makespan respects the fundamental scheduling bounds
   (critical path <= makespan <= serial time);
 * schedules are bit-reproducible across runs and Python hash seeds
@@ -36,7 +34,6 @@ from repro.runtime.policies import (
     available_policies,
     get_policy,
 )
-from repro.runtime.scheduler import ListScheduler
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.trees import FlatTSTree, FlatTTTree, GreedyTree
 
@@ -57,25 +54,12 @@ CONFIGS = [
 ]
 
 
-class TestListPolicyMatchesLegacy:
-    @pytest.mark.parametrize("alg,p,q,tree,machine", CONFIGS)
-    def test_exact_schedule_equality(self, alg, p, q, tree, machine):
-        program = get_program(alg, p, q, tree)
-        legacy = ListScheduler(machine).run(program.to_task_graph())
-        engine = SimulationEngine(machine, policy="list").run(program)
-        assert engine.makespan == legacy.makespan  # bitwise, not approx
-        assert engine.start == legacy.start
-        assert engine.finish == legacy.finish
-        assert engine.node_of_task == legacy.node_of_task
-        assert engine.core_of_task == legacy.core_of_task
-        assert engine.messages == legacy.messages
-        assert engine.comm_bytes == legacy.comm_bytes
-
+class TestListPolicyPins:
     def test_golden_pins(self):
         """Absolute makespans of the list policy on paper-scale shapes.
 
-        Pinned from the legacy ListScheduler at the time of the engine
-        refactor; if these move, scheduling semantics changed.
+        Pinned at the time of the engine refactor; if these move,
+        scheduling semantics changed.
         """
         pins = {
             ("bidiag", 8, 6): (0.030137913139087435, 0),
@@ -90,17 +74,6 @@ class TestListPolicyMatchesLegacy:
             makespan, messages = pins[(alg, p, q)]
             assert schedule.makespan == pytest.approx(makespan, rel=1e-13)
             assert schedule.messages == messages
-
-    def test_legacy_priorities_map_to_policies(self):
-        program = get_program("bidiag", 6, 4, GreedyTree())
-        machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
-        for priority, policy in (("bottom-level", "list"), ("fifo", "fifo"),
-                                 ("weight", "weight")):
-            legacy = ListScheduler(machine, priority=priority).run(
-                program.to_task_graph()
-            )
-            engine = SimulationEngine(machine, policy=policy).run(program)
-            assert engine.makespan == legacy.makespan
 
 
 class TestPolicyBounds:

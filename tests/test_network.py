@@ -2,9 +2,9 @@
 
 Pins the contract of the network tentpole:
 
-* ``network="uniform"`` is the legacy engine, bit for bit (golden pins on
-  absolute makespans, equality with an engine built without a network
-  argument, hash-seed subprocess determinism);
+* ``network="uniform"`` is the pre-network engine, bit for bit (golden
+  pins on absolute makespans, equality with an engine built without a
+  network argument, hash-seed subprocess determinism);
 * the ``alpha-beta`` model counts exactly the same deduplicated messages
   as ``uniform`` and as the static analysis
   (:func:`repro.analysis.communication.engine_communication_check`) — only
@@ -30,9 +30,8 @@ from repro.analysis.communication import (
     engine_communication_check,
 )
 from repro.cli import main
-from repro.dag.task import Task, TaskGraph
 from repro.ir import clear_program_cache, get_program
-from repro.ir.program import Program
+from repro.ir.program import Op, Program
 from repro.runtime.engine import SimulationEngine, run_policy
 from repro.runtime.machine import Machine
 from repro.runtime.network import (
@@ -42,7 +41,6 @@ from repro.runtime.network import (
     available_networks,
     get_network_model,
 )
-from repro.runtime.scheduler import ListScheduler
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.trees import FlatTSTree, FlatTTTree, GreedyTree
 from repro.kernels.costs import KernelName
@@ -71,16 +69,15 @@ def _chain_graph():
     Tile ``(i, 0)`` is owned by node ``i`` on the 3x1 grid; every task
     writes its own tile, so owner-computes pins the mapping.
     """
-    graph = TaskGraph()
-    graph.add_task(Task(0, KernelName.GEQRT, (0,), frozenset(),
-                        frozenset({("U", 0, 0)}), 4, (0, 0)))
-    graph.add_task(Task(1, KernelName.GEQRT, (1,), frozenset({("U", 0, 0)}),
-                        frozenset({("U", 1, 0)}), 4, (1, 0)))
-    graph.add_task(Task(2, KernelName.GEQRT, (2,), frozenset({("U", 0, 0)}),
-                        frozenset({("U", 2, 0)}), 4, (2, 0)))
-    graph.add_edge(0, 1)
-    graph.add_edge(0, 2)
-    return graph
+    ops = [
+        Op(0, KernelName.GEQRT, (0,), frozenset(),
+           frozenset({("U", 0, 0)}), 4, (0, 0)),
+        Op(1, KernelName.GEQRT, (1,), frozenset({("U", 0, 0)}),
+           frozenset({("U", 1, 0)}), 4, (1, 0)),
+        Op(2, KernelName.GEQRT, (2,), frozenset({("U", 0, 0)}),
+           frozenset({("U", 2, 0)}), 4, (2, 0)),
+    ]
+    return Program(ops, [[], [0], [0]])
 
 
 def _three_node_engine(network, cores=1, tile_size=100):
@@ -108,15 +105,14 @@ class TestUniformIsLegacy:
             assert schedule.messages == messages
 
     @pytest.mark.parametrize("alg,p,q,tree,machine", CONFIGS)
-    def test_bitwise_equal_to_default_engine_and_legacy(self, alg, p, q, tree, machine):
+    def test_bitwise_equal_to_default_engine(self, alg, p, q, tree, machine):
         program = get_program(alg, p, q, tree)
         explicit = SimulationEngine(machine, network="uniform").run(program)
         default = SimulationEngine(machine).run(program)
-        legacy = ListScheduler(machine).run(program.to_task_graph())
-        assert explicit.makespan == default.makespan == legacy.makespan
-        assert explicit.start == default.start == legacy.start
-        assert explicit.messages == default.messages == legacy.messages
-        assert explicit.comm_bytes == default.comm_bytes == legacy.comm_bytes
+        assert explicit.makespan == default.makespan
+        assert explicit.start == default.start
+        assert explicit.messages == default.messages
+        assert explicit.comm_bytes == default.comm_bytes
 
     SNIPPET = (
         "import sys; sys.path.insert(0, 'src')\n"
@@ -216,21 +212,21 @@ class TestAlphaBeta:
         s_large = large_engine.run(graph)
         assert s_large.comm_bytes == 4 * s_small.comm_bytes
         model = AlphaBetaNetwork()
-        op = Program.from_task_graph(graph).ops[0]
+        op = graph.ops[0]
         assert model.message_bytes(op, large) == 4 * model.message_bytes(op, small)
 
     def test_transfer_cached_per_destination_node(self):
         """Two consumers of the same producer on the *same* remote node pay
         for one message (the runtime caches remote tiles)."""
-        graph = TaskGraph()
-        graph.add_task(Task(0, KernelName.GEQRT, (0,), frozenset(),
-                            frozenset({("U", 0, 0)}), 4, (0, 0)))
-        graph.add_task(Task(1, KernelName.GEQRT, (1,), frozenset({("U", 0, 0)}),
-                            frozenset({("U", 1, 0)}), 4, (1, 0)))
-        graph.add_task(Task(2, KernelName.GEQRT, (2,), frozenset({("U", 0, 0)}),
-                            frozenset({("U", 3, 0)}), 4, (3, 0)))
-        graph.add_edge(0, 1)
-        graph.add_edge(0, 2)
+        ops = [
+            Op(0, KernelName.GEQRT, (0,), frozenset(),
+               frozenset({("U", 0, 0)}), 4, (0, 0)),
+            Op(1, KernelName.GEQRT, (1,), frozenset({("U", 0, 0)}),
+               frozenset({("U", 1, 0)}), 4, (1, 0)),
+            Op(2, KernelName.GEQRT, (2,), frozenset({("U", 0, 0)}),
+               frozenset({("U", 3, 0)}), 4, (3, 0)),
+        ]
+        graph = Program(ops, [[], [0], [0]])
         machine = Machine(n_nodes=2, cores_per_node=2, tile_size=100)
         distribution = BlockCyclicDistribution(ProcessGrid(2, 1))
         for network in NETWORK_MODELS:
@@ -253,19 +249,17 @@ class TestSeenTransfersDedupAudit:
     def _reproduced_tile_graph():
         """Tile (0,0) is written twice (tasks 0 and 2); after each write a
         task on the other node consumes it."""
-        graph = TaskGraph()
-        graph.add_task(Task(0, KernelName.GEQRT, (0,), frozenset(),
-                            frozenset({("U", 0, 0)}), 4, (0, 0)))
-        graph.add_task(Task(1, KernelName.GEQRT, (1,), frozenset({("U", 0, 0)}),
-                            frozenset({("U", 1, 0)}), 4, (1, 0)))
-        graph.add_task(Task(2, KernelName.GEQRT, (2,), frozenset({("U", 1, 0)}),
-                            frozenset({("U", 0, 0)}), 4, (0, 0)))
-        graph.add_task(Task(3, KernelName.GEQRT, (3,), frozenset({("U", 0, 0)}),
-                            frozenset({("U", 3, 0)}), 4, (1, 0)))
-        graph.add_edge(0, 1)
-        graph.add_edge(1, 2)
-        graph.add_edge(2, 3)
-        return graph
+        ops = [
+            Op(0, KernelName.GEQRT, (0,), frozenset(),
+               frozenset({("U", 0, 0)}), 4, (0, 0)),
+            Op(1, KernelName.GEQRT, (1,), frozenset({("U", 0, 0)}),
+               frozenset({("U", 1, 0)}), 4, (1, 0)),
+            Op(2, KernelName.GEQRT, (2,), frozenset({("U", 1, 0)}),
+               frozenset({("U", 0, 0)}), 4, (0, 0)),
+            Op(3, KernelName.GEQRT, (3,), frozenset({("U", 0, 0)}),
+               frozenset({("U", 3, 0)}), 4, (1, 0)),
+        ]
+        return Program(ops, [[], [0], [1], [2]])
 
     @pytest.mark.parametrize("network", sorted(NETWORK_MODELS))
     def test_reproduced_tile_retriggers_transfer(self, network):
@@ -281,7 +275,7 @@ class TestSeenTransfersDedupAudit:
         assert static.messages == 3
 
     def test_static_and_engine_agree_on_program_form(self):
-        program = Program.from_task_graph(self._reproduced_tile_graph())
+        program = self._reproduced_tile_graph()
         machine = Machine(n_nodes=2, cores_per_node=2, tile_size=100)
         distribution = BlockCyclicDistribution(ProcessGrid(2, 1))
         schedule = SimulationEngine(

@@ -2,7 +2,7 @@
 
 Covers the dependency analyzer, the Program/CSR structure, the compiler
 and its shared in-process cache, replay onto the numeric executor, and the
-1x1 / empty-post-stage edge cases the legacy path handles.
+1x1 / empty-post-stage edge cases.
 """
 
 import subprocess
@@ -14,10 +14,7 @@ import pytest
 from repro.algorithms.bidiag import bidiag_ge2bnd
 from repro.algorithms.executor import NumericExecutor
 from repro.algorithms.rbidiag import rbidiag_ge2bnd
-from repro.dag.critical_path import critical_path_length
-from repro.dag.tracer import TraceExecutor, trace_bidiag, trace_qr, trace_rbidiag
 from repro.ir import (
-    DependencyAnalyzer,
     Program,
     ProgramCache,
     ProgramRecorder,
@@ -29,6 +26,7 @@ from repro.ir import (
     replay,
     tree_fingerprint,
 )
+from repro.ir.program import analyze_coded_stream
 from repro.kernels.costs import KernelName
 from repro.tiles.matrix import TiledMatrix
 from repro.trees import AutoTree, FlatTSTree, GreedyTree
@@ -42,33 +40,39 @@ def _fresh_program_cache():
     clear_program_cache()
 
 
-class TestDependencyAnalyzer:
+def _analyze(*accesses):
+    """Sorted predecessor lists of a stream of ``(reads, writes)`` item codes."""
+    reads = [tuple(r) for r, _ in accesses]
+    writes = [tuple(w) for _, w in accesses]
+    n_items = 1 + max((max(r + w, default=0) for r, w in zip(reads, writes)), default=0)
+    pred_lists, _levels = analyze_coded_stream(reads, writes, n_items)
+    return [sorted(preds) for preds in pred_lists]
+
+
+class TestCodedAnalyzer:
+    """The superscalar rules of ``analyze_coded_stream`` on integer items."""
+
     def test_raw_dependency(self):
-        a = DependencyAnalyzer()
-        assert a.add(frozenset(), frozenset({("U", 0, 0)})) == []
-        assert a.add(frozenset({("U", 0, 0)}), frozenset()) == [0]
+        # 0 writes item 0, 1 reads it.
+        assert _analyze(((), (0,)), ((0,), ())) == [[], [0]]
 
     def test_war_dependency(self):
-        a = DependencyAnalyzer()
-        a.add(frozenset(), frozenset({("U", 0, 0)}))     # 0 writes
-        a.add(frozenset({("U", 0, 0)}), frozenset())     # 1 reads
-        # 2 rewrites: depends on the writer (RAW chain) and the reader (WAR).
-        assert a.add(frozenset(), frozenset({("U", 0, 0)})) == [0, 1]
+        # 0 writes, 1 reads; 2 rewrites: depends on the writer (RAW chain)
+        # and the reader (WAR).
+        preds = _analyze(((), (0,)), ((0,), ()), ((), (0,)))
+        assert preds[2] == [0, 1]
 
     def test_write_resets_reader_set(self):
-        a = DependencyAnalyzer()
-        a.add(frozenset(), frozenset({("U", 0, 0)}))     # 0
-        a.add(frozenset(), frozenset({("U", 0, 0)}))     # 1 (overwrites)
-        # 2 only sees the most recent writer.
-        assert a.add(frozenset({("U", 0, 0)}), frozenset()) == [1]
+        # 0 writes, 1 overwrites; 2 only sees the most recent writer.
+        preds = _analyze(((), (0,)), ((), (0,)), ((0,), ()))
+        assert preds[2] == [1]
 
     def test_no_duplicate_or_self_edges(self):
-        a = DependencyAnalyzer()
-        a.add(frozenset(), frozenset({("U", 0, 0), ("L", 0, 0)}))
-        preds = a.add(
-            frozenset({("U", 0, 0)}), frozenset({("L", 0, 0), ("U", 0, 1)})
-        )
-        assert preds == [0]
+        # 1 reads item 0 and rewrites items 1 and 2: op 0 (which wrote
+        # items 0 and 1) is reached through two items but listed once,
+        # and 1 never depends on itself.
+        preds = _analyze(((), (0, 1)), ((0,), (1, 2)))
+        assert preds == [[], [0]]
 
 
 class TestProgramStructure:
@@ -84,43 +88,18 @@ class TestProgramStructure:
             assert preds == sorted(preds)
             assert all(0 <= s < dst for s in preds)
 
-    def test_matches_legacy_task_graph(self):
-        for alg, tracer in (
-            ("qr", trace_qr),
-            ("bidiag", trace_bidiag),
-            ("rbidiag", trace_rbidiag),
-        ):
-            program = compile_program(alg, 6, 4, GreedyTree())
-            graph = tracer(6, 4, GreedyTree())
-            assert len(program) == len(graph)
-            assert program.n_edges == graph.n_edges
-            assert [op.kernel for op in program.ops] == [t.kernel for t in graph.tasks]
-            assert [op.params for op in program.ops] == [t.params for t in graph.tasks]
-            got = set(program.edges())
-            want = {(s, d) for d, ss in graph.predecessors.items() for s in ss}
-            assert got == want
-
-    def test_to_task_graph_round_trip(self):
-        program = compile_program("bidiag", 4, 4, FlatTSTree())
-        graph = program.to_task_graph()
-        back = Program.from_task_graph(graph)
-        assert len(back) == len(program)
-        assert set(back.edges()) == set(program.edges())
-        assert back.total_weight() == program.total_weight()
-
-    def test_to_task_graph_gives_fresh_graphs(self):
-        program = compile_program("qr", 3, 2, GreedyTree())
-        g1, g2 = program.to_task_graph(), program.to_task_graph()
-        assert g1 is not g2
-        g1.add_edge(0, len(g1) - 1)  # mutate one copy
-        assert g2.n_edges == program.n_edges
-
-    def test_aggregates_match_task_graph(self):
+    def test_object_form_matches_column_form(self):
         program = compile_program("bidiag", 5, 5, FlatTSTree())
-        graph = program.to_task_graph()
-        assert program.total_weight() == graph.total_weight()
-        assert program.kernel_counts() == graph.kernel_counts()
-        assert program.critical_path() == critical_path_length(graph)
+        back = Program(
+            program.ops, [list(program.predecessors(i)) for i in range(len(program))]
+        )
+        assert back.columns is None
+        assert len(back) == len(program)
+        assert list(back.edges()) == list(program.edges())
+        assert back.total_weight() == program.total_weight()
+        assert back.kernel_counts() == program.kernel_counts()
+        assert back.critical_path() == program.critical_path()
+        assert back.levels_np.tolist() == program.levels_np.tolist()
 
     def test_sources_and_indegrees(self):
         program = compile_program("bidiag", 4, 3, GreedyTree())
@@ -137,12 +116,13 @@ class TestProgramStructure:
 
 
 class TestRecorder:
-    def test_trace_executor_is_a_recorder(self):
-        tracer = TraceExecutor(4, 3)
-        assert isinstance(tracer, ProgramRecorder)
-        bidiag_ge2bnd(tracer, GreedyTree())
-        assert len(tracer.graph) == len(tracer.ops)
-        assert tracer.graph.n_edges == tracer.program().n_edges
+    def test_recorder_matches_compiler(self):
+        recorder = ProgramRecorder(4, 3)
+        bidiag_ge2bnd(recorder, GreedyTree())
+        program = recorder.program()
+        compiled = compile_program("bidiag", 4, 3, GreedyTree())
+        assert len(recorder) == len(program) == len(compiled)
+        assert list(program.edges()) == list(compiled.edges())
 
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
@@ -270,12 +250,6 @@ class TestEdgeCases:
             assert program.n_edges == 0
             assert program.critical_path() == program.total_weight()
 
-    def test_single_tile_matches_legacy_trace(self):
-        graph = trace_bidiag(1, 1, GreedyTree())
-        program = get_program("bidiag", 1, 1, GreedyTree())
-        assert len(graph) == len(program) == 1
-        assert graph.n_edges == program.n_edges == 0
-
     def test_single_column_has_no_lq_stage(self):
         # p x 1: one QR panel, never an LQ step (the post-QR stages are empty).
         program = compile_program("bidiag", 5, 1, GreedyTree())
@@ -294,17 +268,14 @@ class TestEdgeCases:
         got = np.linalg.svd(mat.to_dense(), compute_uv=False)
         np.testing.assert_allclose(got, ref, atol=1e-9)
 
-    def test_single_tile_simulation_matches_legacy(self):
+    def test_single_tile_simulation(self):
         from repro.runtime.engine import SimulationEngine
         from repro.runtime.machine import Machine
-        from repro.runtime.scheduler import ListScheduler
 
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
-        graph = trace_bidiag(1, 1, GreedyTree())
         program = get_program("bidiag", 1, 1, GreedyTree())
-        legacy = ListScheduler(machine).run(graph)
         engine = SimulationEngine(machine, policy="list").run(program)
-        assert engine.makespan == legacy.makespan > 0
+        assert engine.makespan == machine.kernel_duration(KernelName.GEQRT) > 0
 
     def test_ge2val_single_tile_simulation(self):
         from repro.runtime.machine import Machine

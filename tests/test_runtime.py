@@ -1,22 +1,25 @@
-"""Tests for the machine model, the list scheduler and the simulator."""
+"""Tests for the machine model, the engine's list policy and the simulator."""
 
 import pytest
 
 from repro.config import MIRIEL, Config, get_preset
-from repro.dag.task import Task, TaskGraph
-from repro.dag.tracer import trace_bidiag
-from repro.dag.critical_path import critical_path_length
+from repro.ir import Op, Program, get_program
 from repro.kernels.costs import KernelName
+from repro.runtime.engine import (
+    SimulationEngine,
+    critical_path_seconds,
+    run_policy,
+    serial_seconds,
+)
 from repro.runtime.machine import Machine
-from repro.runtime.scheduler import ListScheduler
-from repro.runtime.simulator import simulate_ge2bnd, simulate_ge2val, simulate_graph
+from repro.runtime.simulator import simulate_ge2bnd, simulate_ge2val
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.trees import FlatTSTree, GreedyTree
 
 
-def _mk_task(tid, kernel=KernelName.TSMQR, tile=(0, 0)):
-    return Task(
-        id=tid,
+def _mk_op(tid, kernel=KernelName.TSMQR, tile=(0, 0)):
+    return Op(
+        index=tid,
         kernel=kernel,
         params=(tid,),
         reads=frozenset(),
@@ -94,47 +97,39 @@ class TestMachine:
             Machine(cores_per_node=0)
 
 
-class TestListScheduler:
+class TestListPolicy:
     def test_independent_tasks_run_in_parallel(self):
-        g = TaskGraph()
-        for i in range(4):
-            g.add_task(_mk_task(i))
+        g = Program([_mk_op(i) for i in range(4)], [[]] * 4)
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
-        schedule = ListScheduler(machine).run(g)
+        schedule = run_policy(g, machine)
         # All four tasks fit on four cores simultaneously.
         assert schedule.makespan == pytest.approx(machine.kernel_duration(KernelName.TSMQR))
 
     def test_chain_serializes(self):
-        g = TaskGraph()
-        for i in range(4):
-            g.add_task(_mk_task(i))
-        for i in range(3):
-            g.add_edge(i, i + 1)
+        g = Program([_mk_op(i) for i in range(4)], [[], [0], [1], [2]])
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
-        schedule = ListScheduler(machine).run(g)
+        schedule = run_policy(g, machine)
         assert schedule.makespan == pytest.approx(4 * machine.kernel_duration(KernelName.TSMQR))
 
     def test_single_core_serializes_everything(self):
-        g = TaskGraph()
-        for i in range(5):
-            g.add_task(_mk_task(i))
+        g = Program([_mk_op(i) for i in range(5)], [[]] * 5)
         machine = Machine(n_nodes=1, cores_per_node=1, tile_size=100)
-        schedule = ListScheduler(machine).run(g)
+        schedule = run_policy(g, machine)
         assert schedule.makespan == pytest.approx(5 * machine.kernel_duration(KernelName.TSMQR))
 
-    def test_empty_graph(self):
+    def test_empty_program(self):
         machine = Machine()
-        schedule = ListScheduler(machine).run(TaskGraph())
+        schedule = run_policy(Program([], []), machine)
         assert schedule.makespan == 0.0
 
     def test_cross_node_edges_counted(self):
-        g = TaskGraph()
-        g.add_task(_mk_task(0, tile=(0, 0)))
-        g.add_task(_mk_task(1, tile=(1, 0)))  # different block-cyclic owner
-        g.add_edge(0, 1)
+        g = Program(
+            # The second op has a different block-cyclic owner.
+            [_mk_op(0, tile=(0, 0)), _mk_op(1, tile=(1, 0))], [[], [0]]
+        )
         machine = Machine(n_nodes=2, cores_per_node=2, tile_size=100)
         dist = BlockCyclicDistribution(ProcessGrid(2, 1))
-        schedule = ListScheduler(machine, dist).run(g)
+        schedule = run_policy(g, machine, distribution=dist)
         assert schedule.messages == 1
         assert schedule.comm_bytes == machine.tile_bytes
         assert schedule.makespan > 2 * machine.kernel_duration(KernelName.TSMQR)
@@ -142,23 +137,23 @@ class TestListScheduler:
     def test_distribution_process_count_must_match(self):
         machine = Machine(n_nodes=4)
         with pytest.raises(ValueError):
-            ListScheduler(machine, BlockCyclicDistribution(ProcessGrid(1, 2)))
+            SimulationEngine(machine, BlockCyclicDistribution(ProcessGrid(1, 2)))
 
     def test_schedule_bounds(self):
         """Makespan is bounded below by the critical path and above by the
         serial time (fundamental scheduling bounds)."""
-        g = trace_bidiag(6, 4, GreedyTree())
+        g = get_program("bidiag", 6, 4, GreedyTree())
         machine = Machine(n_nodes=1, cores_per_node=8, tile_size=160)
-        schedule = ListScheduler(machine).run(g)
-        cp_time = critical_path_length(g, weight_fn=lambda t: machine.kernel_duration(t.kernel))
-        serial_time = sum(machine.kernel_duration(t.kernel) for t in g.tasks)
+        schedule = run_policy(g, machine)
+        cp_time = critical_path_seconds(g, machine)
+        serial_time = serial_seconds(g, machine)
         assert cp_time <= schedule.makespan + 1e-12
         assert schedule.makespan <= serial_time + 1e-12
 
     def test_node_utilization(self):
-        g = trace_bidiag(4, 4, FlatTSTree())
+        g = get_program("bidiag", 4, 4, FlatTSTree())
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=160)
-        schedule = ListScheduler(machine).run(g)
+        schedule = run_policy(g, machine)
         util = schedule.node_utilization(machine)
         assert len(util) == 1
         assert 0.0 < util[0] <= 1.0
@@ -210,8 +205,8 @@ class TestSimulator:
         result = simulate_ge2val(20000, 2000, machine, tree="greedy")
         assert result.algorithm == "ge2val-rbidiag"
 
-    def test_simulate_graph_direct(self):
-        g = trace_bidiag(4, 4, FlatTSTree())
+    def test_run_policy_direct(self):
+        g = get_program("bidiag", 4, 4, FlatTSTree())
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=160)
-        schedule = simulate_graph(g, machine)
+        schedule = run_policy(g, machine)
         assert schedule.makespan > 0

@@ -2,113 +2,109 @@
 
 import pytest
 
-from repro.dag.tracer import trace_bidiag, trace_qr
+from repro.ir import get_program
+from repro.obs.clock import FakeClock
+from repro.obs.export import gantt_text
+from repro.obs.tracer import Tracer
+from repro.obs.util import idle_seconds_per_node, utilization_summary
+from repro.runtime.engine import run_policy
 from repro.runtime.machine import Machine
-from repro.runtime.scheduler import ListScheduler
-from repro.runtime.trace import gantt_chart, idle_time_by_node, utilization_report
 from repro.trees import FlatTSTree, GreedyTree
 
 
 @pytest.fixture(scope="module")
 def small_run():
-    graph = trace_bidiag(6, 4, GreedyTree())
+    program = get_program("bidiag", 6, 4, GreedyTree())
     machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
-    schedule = ListScheduler(machine).run(graph)
-    return graph, machine, schedule
+    tracer = Tracer(clock=FakeClock())
+    with tracer.activate():
+        schedule = run_policy(program, machine)
+    return machine, schedule, tracer.runs[-1]
 
 
 class TestUtilization:
     def test_busy_fraction_in_unit_interval(self, small_run):
-        graph, machine, schedule = small_run
-        report = utilization_report(schedule, graph, machine)
-        assert 0.0 < report.overall_busy_fraction <= 1.0
-        assert all(0.0 <= f <= 1.0 for f in report.busy_fraction_per_node)
+        machine, schedule, _ = small_run
+        summary = utilization_summary(schedule, machine)
+        assert 0.0 < summary["overall_busy_fraction"] <= 1.0
+        assert all(0.0 <= f <= 1.0 for f in summary["busy_fraction_per_node"])
 
     def test_idle_plus_busy_equals_capacity(self, small_run):
-        graph, machine, schedule = small_run
-        report = utilization_report(schedule, graph, machine)
+        machine, schedule, _ = small_run
+        summary = utilization_summary(schedule, machine)
         capacity = machine.total_cores * schedule.makespan
         busy = sum(schedule.busy_time_per_node)
-        assert report.idle_seconds == pytest.approx(capacity - busy)
+        assert summary["total_idle_seconds"] == pytest.approx(capacity - busy)
 
-    def test_critical_kernel_is_an_update(self, small_run):
-        graph, machine, schedule = small_run
-        report = utilization_report(schedule, graph, machine)
-        # Update kernels carry most of the work for any tree.
-        assert report.critical_kernel in {"TSMQR", "TTMQR", "TSMLQ", "TTMLQ", "UNMQR", "UNMLQ"}
-
-    def test_idle_time_by_node(self, small_run):
-        graph, machine, schedule = small_run
-        idle = idle_time_by_node(schedule, machine)
+    def test_idle_seconds_per_node(self, small_run):
+        machine, schedule, _ = small_run
+        idle = idle_seconds_per_node(
+            schedule.busy_time_per_node, schedule.makespan, machine.cores_per_node
+        )
         assert len(idle) == machine.n_nodes
         assert all(v >= -1e-12 for v in idle)
 
 
+def _lanes(chart):
+    return [line for line in chart.splitlines() if line.startswith("n")]
+
+
 class TestGantt:
     def test_chart_has_one_lane_per_busy_core(self, small_run):
-        graph, machine, schedule = small_run
-        chart = gantt_chart(schedule, graph, machine, width=40)
-        lanes = [line for line in chart.splitlines() if line.startswith("n")]
+        machine, _, run = small_run
+        lanes = _lanes(gantt_text(run, width=40))
         assert 1 <= len(lanes) <= machine.total_cores
         # Each lane has exactly `width` cells between the pipes.
         body = lanes[0].split("|")[1]
         assert len(body) == 40
 
     def test_chart_shows_kernels_and_idle(self, small_run):
-        graph, machine, schedule = small_run
-        chart = gantt_chart(schedule, graph, machine, width=60)
+        _, _, run = small_run
+        chart = gantt_text(run, width=60)
         assert "legend:" in chart
-        body = "".join(line.split("|")[1] for line in chart.splitlines() if line.startswith("n"))
+        body = "".join(line.split("|")[1] for line in _lanes(chart))
         assert any(ch != "." for ch in body)
 
     def test_lane_cap(self, small_run):
-        graph, machine, schedule = small_run
-        chart = gantt_chart(schedule, graph, machine, width=20, max_lanes=1)
-        lanes = [line for line in chart.splitlines() if line.startswith("n")]
-        assert len(lanes) == 1
-
-    def test_requires_core_assignment(self, small_run):
-        graph, machine, schedule = small_run
-        from dataclasses import replace
-
-        bare = replace(schedule, core_of_task=None)
-        with pytest.raises(ValueError):
-            gantt_chart(bare, graph, machine)
+        _, _, run = small_run
+        chart = gantt_text(run, width=20, max_lanes=1)
+        assert len(_lanes(chart)) == 1
+        assert "more core lanes not shown" in chart
 
     def test_invalid_width(self, small_run):
-        graph, machine, schedule = small_run
+        _, _, run = small_run
         with pytest.raises(ValueError):
-            gantt_chart(schedule, graph, machine, width=0)
+            gantt_text(run, width=0)
 
 
 class TestSchedulerPolicies:
     def test_unknown_policy_rejected(self):
+        program = get_program("qr", 2, 2, GreedyTree())
         with pytest.raises(ValueError):
-            ListScheduler(Machine(), priority="magic")
+            run_policy(program, Machine(), policy="magic")
 
-    @pytest.mark.parametrize("policy", ["bottom-level", "fifo", "weight"])
+    @pytest.mark.parametrize("policy", ["list", "fifo", "weight"])
     def test_all_policies_produce_valid_schedules(self, policy):
-        graph = trace_qr(6, 4, GreedyTree())
+        program = get_program("qr", 6, 4, GreedyTree())
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
-        schedule = ListScheduler(machine, priority=policy).run(graph)
+        schedule = run_policy(program, machine, policy=policy)
         assert schedule.makespan > 0
-        assert len(schedule.start) == len(graph)
+        assert len(schedule.start) == len(program)
         # Dependencies respected.
-        for src, dsts in graph.successors.items():
-            for dst in dsts:
-                assert schedule.start[dst] >= schedule.finish[src] - 1e-12
+        for src, dst in program.edges():
+            assert schedule.start[dst] >= schedule.finish[src] - 1e-12
 
     def test_bottom_level_not_worse_than_fifo(self):
-        graph = trace_bidiag(8, 6, FlatTSTree())
+        program = get_program("bidiag", 8, 6, FlatTSTree())
         machine = Machine(n_nodes=1, cores_per_node=8, tile_size=100)
-        blevel = ListScheduler(machine, priority="bottom-level").run(graph).makespan
-        fifo = ListScheduler(machine, priority="fifo").run(graph).makespan
+        blevel = run_policy(program, machine, policy="list").makespan
+        fifo = run_policy(program, machine, policy="fifo").makespan
         assert blevel <= fifo * 1.05
 
     def test_core_assignment_is_consistent(self):
-        graph = trace_qr(5, 3, GreedyTree())
+        program = get_program("qr", 5, 3, GreedyTree())
         machine = Machine(n_nodes=1, cores_per_node=3, tile_size=100)
-        schedule = ListScheduler(machine).run(graph)
+        schedule = run_policy(program, machine)
         assert schedule.core_of_task is not None
         assert all(0 <= c < machine.cores_per_node for c in schedule.core_of_task)
         # Tasks on the same core never overlap in time.

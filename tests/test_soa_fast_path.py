@@ -21,7 +21,7 @@ from repro.analysis.communication import (
     communication_matrix,
     communication_volume,
 )
-from repro.dag.critical_path import critical_path_length
+from repro.dag.critical_path import critical_path_length, critical_path_tasks
 from repro.ir import Program, clear_program_cache, compile_program, get_program
 from repro.runtime.engine import (
     _OWNER_VECTORS,
@@ -35,6 +35,7 @@ from repro.runtime.network import get_network_model
 from repro.runtime.policies import POLICIES, RandomPolicy, get_policy
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.trees import FlatTSTree, FlatTTTree, GreedyTree
+from repro.verify.dataflow import verify_program
 from repro.verify.schedule import verify_schedule
 
 
@@ -68,6 +69,12 @@ def _assert_schedules_identical(a, b):
     assert a.messages_per_node == b.messages_per_node
 
 
+def _object_built(program, ops=None):
+    """``program`` rebuilt through ``Program(ops, pred_lists)`` (no columns)."""
+    preds = [list(program.predecessors(i)) for i in range(len(program))]
+    return Program(program.ops if ops is None else ops, preds)
+
+
 class TestSingleRuns:
     """Edge shapes of one engine run (the full policy x network x grid
     matrix is pinned by tests/test_golden_schedules.py)."""
@@ -83,7 +90,7 @@ class TestSingleRuns:
 
     def test_empty_program(self):
         machine = Machine(n_nodes=2, cores_per_node=4, tile_size=100)
-        sched = SimulationEngine(machine).run(Program.from_ops([]))
+        sched = SimulationEngine(machine).run(Program([], []))
         assert sched.makespan == 0.0
         assert sched.start == [] and sched.core_of_task == []
         assert sched.busy_time_per_node == [0.0, 0.0]
@@ -120,9 +127,9 @@ class TestRankArrays:
     def test_critical_path_vectorized_bitwise(self):
         for alg, p, q, tree, machine in CONFIGS:
             program = get_program(alg, p, q, tree)
-            # Default Table-I weights: vectorized sweep vs legacy graph walk.
-            assert program.critical_path() == critical_path_length(
-                program.to_task_graph()
+            # Default Table-I weights: vectorized sweep vs per-op loop.
+            assert program.critical_path() == program.critical_path(
+                weight_fn=lambda op: float(op.weight)
             )
             # Duration weights: vectorized sweep vs explicit weight_fn loop.
             want = program.critical_path(
@@ -130,11 +137,12 @@ class TestRankArrays:
             )
             assert critical_path_seconds(program, machine) == want
 
-    def test_critical_path_length_accepts_programs(self):
+    def test_critical_path_tasks_sum_to_length(self):
         program = get_program("bidiag", 6, 5, GreedyTree())
-        assert critical_path_length(program) == critical_path_length(
-            program.to_task_graph()
-        )
+        path = critical_path_tasks(program)
+        assert sum(op.weight for op in path) == critical_path_length(program)
+        for src, dst in zip(path, path[1:]):
+            assert src.index in program.predecessors(dst.index)
 
     def test_serial_seconds_matches_per_op_sum(self):
         program = get_program("bidiag", 8, 6, GreedyTree())
@@ -176,21 +184,16 @@ class TestSoAColumns:
 
     def test_levels_match_object_path(self):
         program = compile_program("bidiag", 6, 5, FlatTTTree())
-        rebuilt = Program.from_ops(program.ops)
+        rebuilt = _object_built(program)
         assert program.levels_np.tolist() == rebuilt.levels_np.tolist()
 
-    def test_coded_analysis_matches_object_analyzer(self):
-        # The integer-coded analyzer and the frozenset DependencyAnalyzer
-        # must infer identical edge sets on the same op stream.
+    def test_coded_analysis_matches_dataflow_oracle(self):
+        # The independent dataflow verifier re-derives every RAW/WAR edge
+        # from the kernel semantics; the analyzer's CSR must match it.
         for alg, tree in (("bidiag", GreedyTree()), ("rbidiag", FlatTSTree())):
-            program = compile_program(alg, 6, 4, tree)
-            rebuilt = Program.from_ops(program.ops)
-            assert set(program.edges()) == set(rebuilt.edges())
-            assert program.n_edges == rebuilt.n_edges
-            for i in range(len(program)):
-                assert list(program.predecessors(i)) == list(
-                    rebuilt.predecessors(i)
-                )
+            report = verify_program(compile_program(alg, 6, 4, tree))
+            assert report.count("P-MISSING-EDGE") == 0
+            assert report.count("P-SPURIOUS-EDGE") == 0
 
     def test_from_columns_rejects_backward_edges(self):
         program = compile_program("qr", 2, 1, GreedyTree())
@@ -206,7 +209,7 @@ class TestSoAColumns:
         assert program.columns is not None
         via_columns = ProgramRecorder(5, 4)
         replay(program, via_columns)
-        rebuilt = Program.from_ops(program.ops)  # object-built: no columns
+        rebuilt = _object_built(program)  # no columns
         assert rebuilt.columns is None
         via_ops = ProgramRecorder(5, 4)
         replay(rebuilt, via_ops)
@@ -370,14 +373,14 @@ class TestMemoization:
         assert sched.comm_bytes == sched.messages * (machine.tile_bytes // 4)
 
     def test_object_built_programs_honor_custom_weights(self):
-        # Regression: from_ops/from_task_graph programs carry whatever
-        # weight the caller stamped on each Op; the packed weight column
-        # must read it rather than re-deriving Table-I values.
+        # Regression: object-built programs carry whatever weight the
+        # caller stamped on each Op; the packed weight column must read it
+        # rather than re-deriving Table-I values.
         import dataclasses
 
         base = get_program("bidiag", 4, 4, GreedyTree())
         ops = [dataclasses.replace(op, weight=op.weight * 7) for op in base.ops]
-        program = Program.from_ops(ops)
+        program = _object_built(base, ops)
         assert program.total_weight() == 7 * base.total_weight()
         assert program.critical_path() == 7 * base.critical_path()
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
@@ -434,23 +437,28 @@ class TestMemoization:
         _assert_schedules_identical(schedule, fifo)
 
 
+class _WalkedDistribution(BlockCyclicDistribution):
+    """The stock owner rule under a subclass: static counts then take the
+    scalar per-edge walk instead of the vectorized path."""
+
+
 class TestStaticCommunication:
-    """Vectorized static message counts == legacy per-edge walk."""
+    """Vectorized static message counts == scalar per-edge walk."""
 
     @pytest.mark.parametrize("grid", [ProcessGrid(2, 2), ProcessGrid(3, 2),
                                       ProcessGrid(4, 1)])
-    def test_volume_and_matrix_match_task_graph_path(self, grid):
+    def test_volume_and_matrix_match_scalar_walk(self, grid):
         program = get_program("bidiag", 8, 6, GreedyTree())
         dist = BlockCyclicDistribution(grid)
-        graph = program.to_task_graph()
+        walked = _WalkedDistribution(grid)
         fast = communication_volume(program, dist)
-        slow = communication_volume(graph, dist)
+        slow = communication_volume(program, walked)
         assert fast.messages == slow.messages
         assert fast.bytes_moved == slow.bytes_moved
         assert fast.per_node_sent == slow.per_node_sent
         assert fast.per_node_received == slow.per_node_received
         assert communication_matrix(program, dist) == communication_matrix(
-            graph, dist
+            program, walked
         )
 
     def test_message_bytes_vector_matches_per_op(self):
